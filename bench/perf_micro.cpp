@@ -4,7 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "analyze/absint.hpp"
-
+#include "analyze/analyze.hpp"
 #include "exec/executor.hpp"
 #include "exec/stream.hpp"
 #include "graph/serialize.hpp"
@@ -597,6 +597,64 @@ void BM_ServeTrialBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kTrials);
 }
 BENCHMARK(BM_ServeTrialBatch);
+
+// ANALYZE — analyze_design on the 16x16 heat rod (273 tasks), the
+// `check` step of the paper's edit-then-feedback loop; the design is
+// built outside the timed region. Cold: every stencil routine is new
+// (a fresh diffusion constant each iteration), so each one is parsed
+// and run through the PITS and absint layers. Edit: one routine gains a
+// comment line, so it alone misses the per-routine memo while every
+// later task's positions shift by a line. Warm: the unchanged design,
+// all memo hits — what remains is flattening plus the graph layers.
+
+const std::string& analyze_heat_text() {
+  static const std::string text =
+      graph::to_pitl(workloads::heat_design(16, 16, 4));
+  return text;
+}
+
+void BM_AnalyzeDesignCold(benchmark::State& state) {
+  static std::uint64_t fresh = 0;  // alphas never repeat in-process
+  for (auto _ : state) {
+    state.PauseTiming();
+    const graph::Design design = workloads::heat_design(
+        16, 16, 4, 0.2 + 1e-10 * static_cast<double>(++fresh));
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(analyze::analyze_design(design));
+  }
+}
+BENCHMARK(BM_AnalyzeDesignCold)->Unit(benchmark::kMillisecond);
+
+void BM_AnalyzeDesignEdit(benchmark::State& state) {
+  static std::uint64_t fresh = 0;  // edits never repeat in-process
+  const std::string& base = analyze_heat_text();
+  std::vector<std::size_t> routines;  // offset of each routine's first line
+  for (std::size_t at = base.find("pits {\n"); at != std::string::npos;
+       at = base.find("pits {\n", at + 1)) {
+    routines.push_back(at + 7);
+  }
+  (void)analyze::analyze_design(graph::parse_design(base));  // warm
+  for (auto _ : state) {
+    state.PauseTiming();
+    ++fresh;
+    std::string text = base;
+    text.insert(routines[fresh % routines.size()],
+                "    -- edit " + std::to_string(fresh) + "\n");
+    const graph::Design design = graph::parse_design(text);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(analyze::analyze_design(design));
+  }
+}
+BENCHMARK(BM_AnalyzeDesignEdit)->Unit(benchmark::kMillisecond);
+
+void BM_AnalyzeDesignWarm(benchmark::State& state) {
+  const graph::Design design = graph::parse_design(analyze_heat_text());
+  (void)analyze::analyze_design(design);  // warm
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analyze::analyze_design(design));
+  }
+}
+BENCHMARK(BM_AnalyzeDesignWarm)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -318,7 +318,7 @@ class AbsInterp {
     }
   }
 
-  /// Positions (file coordinates) of reads proven to hit an assigned
+  /// Positions (routine-relative) of reads proven to hit an assigned
   /// variable — used to prune BAN101 false positives.
   [[nodiscard]] const std::set<std::pair<int, int>>& proven_reads() const {
     return proven_reads_;
@@ -477,11 +477,6 @@ class AbsInterp {
 
   // ---- reporting ----
 
-  [[nodiscard]] SourcePos at(SourcePos p) const {
-    if (cfg_.ctx == nullptr || !p.valid() || cfg_.ctx->pits_line <= 0) return p;
-    return {cfg_.ctx->pits_line + p.line - 1, p.column + cfg_.ctx->pits_indent};
-  }
-
   [[nodiscard]] bool recording(const AbsState& st) const {
     return record_ && st.reachable && depth_ == 0;
   }
@@ -493,23 +488,19 @@ class AbsInterp {
     d.code = std::move(code);
     d.severity = rule != nullptr ? rule->severity : Severity::Warning;
     d.subject_kind = "task";
-    d.subject = cfg_.ctx != nullptr ? cfg_.ctx->subject : "routine";
     d.message = std::move(message);
     d.hint = std::move(hint);
-    d.pos = at(pos);
+    d.pos = pos;
     cfg_.sink->push_back(std::move(d));
   }
 
   /// True if an earlier rule layer already reported one of `codes` at
   /// the same spot — the cheap-layer report wins, BAN30x stays quiet.
+  /// The sink holds this routine's diagnostics only.
   [[nodiscard]] bool already(std::initializer_list<std::string_view> codes,
                              SourcePos pos) const {
-    const SourcePos p = at(pos);
-    const std::string subject =
-        cfg_.ctx != nullptr ? cfg_.ctx->subject : "routine";
     for (const Diagnostic& d : *cfg_.sink) {
-      if (d.pos.line != p.line || d.pos.column != p.column) continue;
-      if (d.subject != subject) continue;
+      if (d.pos != pos) continue;
       for (std::string_view c : codes)
         if (d.code == c) return true;
     }
@@ -520,7 +511,7 @@ class AbsInterp {
                      double min_len, SourcePos pos) {
     if (cfg_.summary == nullptr || origin.empty() || !recording(st)) return;
     ShapeDemand& d = cfg_.summary->demands[origin];
-    if (!d.pos.valid()) d.pos = at(pos);
+    if (!d.pos.valid()) d.pos = pos;
     d.needs_vector = true;
     d.min_len = std::max(d.min_len, min_len);
   }
@@ -529,7 +520,7 @@ class AbsInterp {
                      SourcePos pos) {
     if (cfg_.summary == nullptr || origin.empty() || !recording(st)) return;
     ShapeDemand& d = cfg_.summary->demands[origin];
-    if (!d.pos.valid()) d.pos = at(pos);
+    if (!d.pos.valid()) d.pos = pos;
     d.needs_scalar = true;
   }
 
@@ -537,7 +528,7 @@ class AbsInterp {
                        double exact_len, SourcePos pos) {
     if (cfg_.summary == nullptr || origin.empty() || !recording(st)) return;
     ShapeDemand& d = cfg_.summary->demands[origin];
-    if (!d.pos.valid()) d.pos = at(pos);
+    if (!d.pos.valid()) d.pos = pos;
     if (d.elem_len < 0) d.elem_len = exact_len;
   }
 
@@ -571,8 +562,7 @@ class AbsInterp {
     if (recording(st) && v.must_assigned) {
       if (cfg_.facts != nullptr) cfg_.facts->bound_reads.insert(&node);
       if (cfg_.sink != nullptr) {
-        const SourcePos p = at(e.pos);
-        proven_reads_.insert({p.line, p.column});
+        proven_reads_.insert({e.pos.line, e.pos.column});
       }
     }
     v.may_unbound = false;  // a successful read always yields a value
@@ -1553,7 +1543,7 @@ ShapeSummary run_absint_rules(const pits::Block& body,
   const auto& proven = engine.proven_reads();
   if (!proven.empty()) {
     std::erase_if(sink, [&](const Diagnostic& d) {
-      return d.code == "BAN101" && d.subject == context.subject &&
+      return d.code == "BAN101" &&
              proven.count({d.pos.line, d.pos.column}) > 0;
     });
   }
@@ -1561,7 +1551,7 @@ ShapeSummary run_absint_rules(const pits::Block& body,
 }
 
 void run_shape_rules(const graph::FlattenResult& flat,
-                     const std::map<graph::TaskId, ShapeSummary>& summaries,
+                     const std::vector<const ShapeSummary*>& summaries,
                      std::vector<Diagnostic>& sink) {
   auto emit = [&](const std::string& task, SourcePos pos, std::string msg,
                   std::string hint = {}) {
@@ -1582,13 +1572,13 @@ void run_shape_rules(const graph::FlattenResult& flat,
     bool have = !store.writers.empty();
     bool first = true;
     for (graph::TaskId w : store.writers) {
-      auto it = summaries.find(w);
-      if (it == summaries.end()) {
+      const ShapeSummary* summary = summaries[w];
+      if (summary == nullptr) {
         have = false;
         break;
       }
-      auto out = it->second.outputs.find(store.var);
-      if (out == it->second.outputs.end() || out->second.may_unbound) {
+      auto out = summary->outputs.find(store.var);
+      if (out == summary->outputs.end() || out->second.may_unbound) {
         have = false;
         break;
       }
@@ -1597,15 +1587,18 @@ void run_shape_rules(const graph::FlattenResult& flat,
     }
     if (!have) continue;
     for (graph::TaskId r : store.readers) {
-      auto it = summaries.find(r);
-      if (it == summaries.end()) continue;
-      auto dit = it->second.demands.find(store.var);
-      if (dit == it->second.demands.end()) continue;
+      const ShapeSummary* summary = summaries[r];
+      if (summary == nullptr) continue;
+      auto dit = summary->demands.find(store.var);
+      if (dit == summary->demands.end()) continue;
       const ShapeDemand& d = dit->second;
-      const std::string& task = flat.graph.task(r).name;
+      const graph::Task& reader = flat.graph.task(r);
+      const std::string& task = reader.name;
+      const SourcePos pos =
+          routine_to_file(d.pos, reader.pits_line, reader.pits_indent);
       if (d.needs_vector && (produced.proven_scalar() ||
                              produced.proven_string())) {
-        emit(task, d.pos,
+        emit(task, pos,
              "`" + store.var + "` is indexed here, but every producer of "
              "store `" + store.name + "` sends a " +
                  (produced.proven_scalar() ? "number" : "string"),
@@ -1613,14 +1606,14 @@ void run_shape_rules(const graph::FlattenResult& flat,
         continue;
       }
       if (d.needs_scalar && produced.proven_vector()) {
-        emit(task, d.pos,
+        emit(task, pos,
              "`" + store.var + "` is used as a count or bound here, but "
              "every producer of store `" + store.name + "` sends a vector");
         continue;
       }
       if (produced.proven_vector() && d.needs_vector &&
           produced.len.hi < d.min_len) {
-        emit(task, d.pos,
+        emit(task, pos,
              "`" + store.var + "` needs at least " +
                  std::to_string(static_cast<long long>(d.min_len)) +
                  " element(s) here, but producers of store `" + store.name +
@@ -1630,7 +1623,7 @@ void run_shape_rules(const graph::FlattenResult& flat,
       }
       if (produced.proven_vector() && d.elem_len >= 0 &&
           (produced.len.hi < d.elem_len || produced.len.lo > d.elem_len)) {
-        emit(task, d.pos,
+        emit(task, pos,
              "elementwise use of `" + store.var + "` requires length " +
                  std::to_string(static_cast<long long>(d.elem_len)) +
                  ", but producers of store `" + store.name +

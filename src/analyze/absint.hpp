@@ -158,7 +158,7 @@ struct ShapeDemand {
   double min_len = 0;         ///< least length the indexing requires
   bool needs_scalar = false;  ///< input is a repeat count / loop bound / index
   double elem_len = -1;       ///< exact length an elementwise op requires, or -1
-  SourcePos pos;              ///< first demanding site (file coordinates)
+  SourcePos pos;              ///< first demanding site (routine-relative)
 };
 
 /// Per-routine interface summary for the graph-level shape pass: the
@@ -183,16 +183,19 @@ void precompile_optimized(const pits::Program& program);
 /// Interval/shape diagnostics (BAN301-BAN305) over one routine, with
 /// declared inputs assumed bound. Appends to `sink` (and prunes BAN101
 /// reports the interpreter proves are false positives); returns the
-/// routine's shape summary for run_shape_rules().
+/// routine's shape summary for run_shape_rules(). `sink` must hold this
+/// routine's diagnostics only: deferral and pruning match by position.
 ShapeSummary run_absint_rules(const pits::Block& body,
                               const RoutineContext& context,
                               std::vector<Diagnostic>& sink);
 
 /// Graph-level shape propagation (BAN306): compares each flattened
 /// store's producer output shapes against its consumers' input demands.
-/// `summaries` maps task ids of `flat.graph` to their routine summaries.
+/// `summaries` is indexed by task id of `flat.graph` (null: no summary).
+/// Demand positions are routine-relative and are reported through the
+/// reading task's pits_line/pits_indent (routine_to_file).
 void run_shape_rules(const graph::FlattenResult& flat,
-                     const std::map<graph::TaskId, ShapeSummary>& summaries,
+                     const std::vector<const ShapeSummary*>& summaries,
                      std::vector<Diagnostic>& sink);
 
 }  // namespace banger::analyze

@@ -1,48 +1,155 @@
 #include "analyze/analyze.hpp"
 
-#include <map>
+#include <memory>
 
 #include "analyze/absint.hpp"
+#include "obs/trace.hpp"
+#include "pits/interp.hpp"
+#include "util/generational_cache.hpp"
 #include "util/strings.hpp"
 
 namespace banger::analyze {
 
+namespace {
+
+/// Everything analyze_design derives from one routine alone. Positions
+/// are routine-relative and diagnostics carry no subject, so one entry
+/// serves every task — at any file position, under any name — whose
+/// routine, declared inputs and outputs match.
+struct RoutineFacts {
+  RoutineInterface interface;
+  /// PITS dataflow then absint diagnostics, in emission order (BAN101
+  /// reports the interpreter disproves already pruned).
+  std::vector<Diagnostic> diagnostics;
+  ShapeSummary shape;  ///< empty unless the absint layer ran
+};
+
+using RoutineMemo =
+    util::GenerationalCache<std::shared_ptr<const RoutineFacts>>;
+
+/// Process-wide, shared by every thread that checks designs (serve runs
+/// `check` on pool threads). The cap is per generation, as for
+/// exec::ProgramCache: it holds the largest bundled design several times
+/// over.
+RoutineMemo& routine_memo() {
+  static RoutineMemo memo(4096);
+  return memo;
+}
+
+/// The memo key: the rule layers that shape a routine's result, the
+/// declared inputs and outputs, then the routine text. Counts and
+/// length prefixes keep it injective whatever the names contain.
+std::string memo_key(const graph::Task& task, bool pits, bool absint) {
+  std::string key;
+  key.reserve(task.pits.size() + 64);
+  key += pits ? 'p' : '-';
+  key += absint ? 'a' : '-';
+  auto names = [&](const std::vector<std::string>& list) {
+    key += std::to_string(list.size());
+    key += '/';
+    for (const std::string& name : list) {
+      key += std::to_string(name.size());
+      key += ':';
+      key += name;
+    }
+  };
+  names(task.inputs);
+  names(task.outputs);
+  key += task.pits;
+  return key;
+}
+
+/// A memo miss: parses the routine once and runs every per-routine
+/// layer over that one AST.
+std::shared_ptr<const RoutineFacts> analyse_routine(const graph::Task& task,
+                                                    bool pits, bool absint) {
+  auto facts = std::make_shared<RoutineFacts>();
+  pits::Program program;
+  try {
+    program = pits::Program::parse(task.pits);
+  } catch (const Error& e) {
+    facts->interface.parses = false;
+    facts->interface.parse_error = e.what();
+    facts->interface.parse_error_pos = e.pos();
+    return facts;  // BAN003 (interface layer); no routine layer runs
+  }
+  facts->interface.reads = program.inputs();
+  facts->interface.writes = program.outputs();
+  if (pits) {
+    RoutineContext ctx;
+    ctx.inputs = task.inputs;
+    ctx.outputs = task.outputs;
+    analyze_routine(program.body(), ctx, facts->diagnostics);
+    if (absint) {
+      // Runs after the dataflow pass on purpose: the interval engine
+      // both defers to its reports (BAN104/105/108 win over BAN30x at
+      // the same spot) and prunes BAN101s it proves false.
+      facts->shape = run_absint_rules(program.body(), ctx, facts->diagnostics);
+    }
+  }
+  return facts;
+}
+
+}  // namespace
+
+SourcePos routine_to_file(SourcePos pos, int pits_line, int pits_indent) {
+  if (!pos.valid() || pits_line <= 0) return pos;
+  return {pits_line + pos.line - 1, pos.column + pits_indent};
+}
+
 std::vector<Diagnostic> analyze_design(const graph::Design& design,
                                        const AnalyzeOptions& options) {
   const auto flat = design.flatten();
-  std::vector<Diagnostic> diagnostics;
+  const graph::TaskGraph& g = flat.graph;
+  const bool pits = options.pits_rules;
+  const bool absint = pits && options.absint_rules;
 
-  if (options.interface_rules) {
-    run_interface_rules(flat, options, diagnostics);
+  // Null for tasks whose routine is blank.
+  std::vector<std::shared_ptr<const RoutineFacts>> routines(g.num_tasks());
+  if (options.interface_rules || pits) {
+    std::uint64_t lookups = 0;
+    std::uint64_t misses = 0;
+    for (graph::TaskId t = 0; t < g.num_tasks(); ++t) {
+      const graph::Task& task = g.task(t);
+      if (util::trim(task.pits).empty()) continue;
+      ++lookups;
+      routines[t] = routine_memo().get(memo_key(task, pits, absint), [&] {
+        ++misses;
+        return analyse_routine(task, pits, absint);
+      });
+    }
+    if (obs::TraceRecorder* rec = obs::current()) {
+      rec->bump("analyze.memo.hits", static_cast<double>(lookups - misses));
+      rec->bump("analyze.memo.misses", static_cast<double>(misses));
+    }
   }
 
-  if (options.pits_rules) {
-    std::map<graph::TaskId, ShapeSummary> summaries;
-    for (graph::TaskId t = 0; t < flat.graph.num_tasks(); ++t) {
-      const graph::Task& task = flat.graph.task(t);
-      if (util::trim(task.pits).empty()) continue;
-      pits::Block body;
-      try {
-        body = pits::parse_block(task.pits);
-      } catch (const Error&) {
-        continue;  // BAN003 (interface layer) reports parse failures
-      }
-      RoutineContext ctx;
-      ctx.subject = task.name;
-      ctx.inputs = task.inputs;
-      ctx.outputs = task.outputs;
-      ctx.pits_line = task.pits_line;
-      ctx.pits_indent = task.pits_indent;
-      analyze_routine(body, ctx, diagnostics);
-      if (options.absint_rules) {
-        // Runs after the dataflow pass on purpose: the interval engine
-        // both defers to its reports (BAN104/105/108 win over BAN30x at
-        // the same spot) and prunes BAN101s it proves false.
-        summaries[t] = run_absint_rules(body, ctx, diagnostics);
-      }
+  std::vector<Diagnostic> diagnostics;
+  if (options.interface_rules) {
+    std::vector<const RoutineInterface*> interfaces(g.num_tasks(), nullptr);
+    for (graph::TaskId t = 0; t < g.num_tasks(); ++t) {
+      if (routines[t] != nullptr) interfaces[t] = &routines[t]->interface;
     }
-    if (options.absint_rules) {
-      run_shape_rules(flat, summaries, diagnostics);
+    run_interface_rules(flat, interfaces, options, diagnostics);
+  }
+
+  if (pits) {
+    // Each routine's block lands where analysing it in place would have
+    // put it, so sort_and_dedupe's stable tie-break keeps the same hint.
+    std::vector<const ShapeSummary*> shapes(g.num_tasks(), nullptr);
+    for (graph::TaskId t = 0; t < g.num_tasks(); ++t) {
+      const RoutineFacts* facts = routines[t].get();
+      if (facts == nullptr || !facts->interface.parses) continue;
+      const graph::Task& task = g.task(t);
+      for (const Diagnostic& d : facts->diagnostics) {
+        Diagnostic& placed = diagnostics.emplace_back(d);
+        placed.subject = task.name;
+        placed.pos = routine_to_file(d.pos, task.pits_line, task.pits_indent);
+      }
+      shapes[t] = &facts->shape;
+    }
+    if (absint) {
+      run_shape_rules(flat, shapes, diagnostics);
     }
   }
 

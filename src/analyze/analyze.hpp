@@ -55,32 +55,52 @@ struct AnalyzeOptions {
 /// Runs the enabled rule layers over a design. The design must flatten
 /// (Error{Graph} propagates otherwise). Returns diagnostics sorted and
 /// deduplicated by sort_and_dedupe().
+///
+/// Per-routine results (interface facts, PITS and absint diagnostics,
+/// shape summaries) come from a process-wide memo keyed by routine
+/// text, declared inputs and outputs, and the enabled routine layers,
+/// so re-checking an edited design re-analyses only the routines the
+/// edit touched (see docs/analysis.md, "Incremental check").
 std::vector<Diagnostic> analyze_design(const graph::Design& design,
                                        const AnalyzeOptions& options = {});
 
-/// Context for analysing one PITS routine on its own (the calculator's
-/// per-routine feedback, and the per-task step of analyze_design).
+/// Context for analysing one PITS routine on its own. The routine
+/// layers report positions relative to the routine and leave the
+/// subject empty; analyze_design names the task and maps positions into
+/// the file (routine_to_file) when it places their diagnostics.
 struct RoutineContext {
-  /// Qualified task name used as the diagnostic subject.
-  std::string subject = "routine";
   /// Declared inputs: defined before the routine starts.
   std::vector<std::string> inputs;
   /// Declared outputs: assignments to them are never dead.
   std::vector<std::string> outputs;
-  /// File line of the routine's first source line (0 = positions stay
-  /// routine-relative) and the indentation stripped from the block.
-  int pits_line = 0;
-  int pits_indent = 0;
 };
+
+/// Maps a routine-relative position to file coordinates: the routine
+/// starts on file line `pits_line`, indented by `pits_indent`. Invalid
+/// positions, and any position when `pits_line` is 0 (designs built in
+/// code), stay unchanged.
+SourcePos routine_to_file(SourcePos pos, int pits_line, int pits_indent);
 
 /// PITS dataflow layer (BAN101-BAN108) over one parsed routine.
 /// Appends to `sink`.
 void analyze_routine(const pits::Block& body, const RoutineContext& context,
                      std::vector<Diagnostic>& sink);
 
-/// Interface + determinacy layers; exposed for the lint wrapper.
-/// Appends to `sink`; `flat` must be `design.flatten()`.
+/// What the interface layer needs from one task's routine: the
+/// variables it reads and writes, or why it does not parse.
+struct RoutineInterface {
+  bool parses = true;
+  std::string parse_error;   ///< Error::what() of the parse failure
+  SourcePos parse_error_pos; ///< routine-relative
+  std::vector<std::string> reads;   ///< pits::Program::inputs()
+  std::vector<std::string> writes;  ///< pits::Program::outputs()
+};
+
+/// Interface + determinacy layers. Append to `sink`; `flat` must be
+/// `design.flatten()`. `routines` is indexed by task id and holds null
+/// for tasks whose routine is blank.
 void run_interface_rules(const graph::FlattenResult& flat,
+                         const std::vector<const RoutineInterface*>& routines,
                          const AnalyzeOptions& options,
                          std::vector<Diagnostic>& sink);
 void run_determinacy_rules(const graph::FlattenResult& flat,

@@ -17,7 +17,6 @@
 #include <set>
 
 #include "analyze/analyze.hpp"
-#include "pits/interp.hpp"
 #include "util/strings.hpp"
 
 namespace banger::analyze {
@@ -48,13 +47,14 @@ Diagnostic make(std::string code, std::string subject_kind,
 // ---------------------------------------------------------------------
 
 void check_task_interfaces(const FlattenResult& flat,
+                           const std::vector<const RoutineInterface*>& routines,
                            const AnalyzeOptions& options,
                            std::vector<Diagnostic>& sink) {
   for (TaskId t = 0; t < flat.graph.num_tasks(); ++t) {
     const graph::Task& task = flat.graph.task(t);
-    const bool empty_body = util::trim(task.pits).empty();
+    const RoutineInterface* routine = routines[t];
 
-    if (empty_body) {
+    if (routine == nullptr) {
       if (!task.outputs.empty()) {
         sink.push_back(make("BAN001", "task", task.name,
                             "declares outputs but has no PITS routine",
@@ -68,23 +68,20 @@ void check_task_interfaces(const FlattenResult& flat,
       continue;
     }
 
-    pits::Program program;
-    try {
-      program = pits::Program::parse(task.pits);
-    } catch (const Error& e) {
+    if (!routine->parses) {
       SourcePos pos = task.pos;
-      if (task.pits_line > 0 && e.pos().valid()) {
-        pos = {task.pits_line + e.pos().line - 1,
-               e.pos().column + task.pits_indent};
+      if (task.pits_line > 0 && routine->parse_error_pos.valid()) {
+        pos = routine_to_file(routine->parse_error_pos, task.pits_line,
+                              task.pits_indent);
       }
       sink.push_back(make("BAN003", "task", task.name,
-                          std::string("PITS does not parse: ") + e.what(),
+                          "PITS does not parse: " + routine->parse_error,
                           pos));
       continue;
     }
 
     // Reads the routine performs but the node does not declare.
-    const auto reads = program.inputs();
+    const std::vector<std::string>& reads = routine->reads;
     for (const std::string& var : reads) {
       if (std::find(task.inputs.begin(), task.inputs.end(), var) ==
           task.inputs.end()) {
@@ -103,7 +100,7 @@ void check_task_interfaces(const FlattenResult& flat,
       }
     }
     // Declared outputs the routine never assigns.
-    const auto writes = program.outputs();
+    const std::vector<std::string>& writes = routine->writes;
     for (const std::string& var : task.outputs) {
       if (std::find(writes.begin(), writes.end(), var) == writes.end()) {
         sink.push_back(make(
@@ -268,9 +265,10 @@ std::vector<std::pair<TaskId, TaskId>> unordered_pairs(
 }  // namespace
 
 void run_interface_rules(const FlattenResult& flat,
+                         const std::vector<const RoutineInterface*>& routines,
                          const AnalyzeOptions& options,
                          std::vector<Diagnostic>& sink) {
-  check_task_interfaces(flat, options, sink);
+  check_task_interfaces(flat, routines, options, sink);
   check_stores(flat, sink);
   check_graph_shape(flat, sink);
 }

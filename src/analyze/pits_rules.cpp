@@ -94,11 +94,6 @@ class RoutineAnalyzer {
 
   // ---- reporting ----
 
-  SourcePos at(SourcePos p) const {
-    if (!p.valid() || ctx_.pits_line <= 0) return p;
-    return {ctx_.pits_line + p.line - 1, p.column + ctx_.pits_indent};
-  }
-
   void emit(std::string code, SourcePos pos, std::string message,
             std::string hint = {}) {
     const DiagnosticRule* rule = find_rule(code);
@@ -106,10 +101,9 @@ class RoutineAnalyzer {
     d.code = std::move(code);
     d.severity = rule != nullptr ? rule->severity : Severity::Warning;
     d.subject_kind = "task";
-    d.subject = ctx_.subject;
     d.message = std::move(message);
     d.hint = std::move(hint);
-    d.pos = at(pos);
+    d.pos = pos;
     sink_.push_back(std::move(d));
   }
 

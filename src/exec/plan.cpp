@@ -32,77 +32,16 @@ std::optional<std::uint32_t> output_index(const graph::Task& task,
 
 // ---- compiled-routine cache -----------------------------------------
 
-void ProgramCache::insert_hot_locked(std::uint64_t key,
-                                     const CachedProgram& entry) {
-  if (hot_size_ >= cap_) {
-    // Generation flip: the cold shard holds entries untouched for a
-    // whole generation — drop it and demote hot. Anything still in use
-    // gets promoted back before the next flip, so the working set
-    // survives; only genuinely idle routines recompile.
-    stats_.evictions += cold_size_;
-    cold_ = std::move(hot_);
-    cold_size_ = hot_size_;
-    hot_.clear();
-    hot_size_ = 0;
-  }
-  hot_[key].push_back(entry);
-  ++hot_size_;
-}
-
 CachedProgram ProgramCache::get(const std::string& source) {
-  const std::uint64_t key = util::fnv1a64(source);
-  {
-    std::lock_guard lock(mutex_);
-    if (auto it = hot_.find(key); it != hot_.end()) {
-      for (const CachedProgram& entry : it->second) {
-        if (entry.source == source) {
-          ++stats_.hits;
-          return entry;
-        }
-      }
-    }
-    if (auto it = cold_.find(key); it != cold_.end()) {
-      std::vector<CachedProgram>& chain = it->second;
-      for (std::size_t i = 0; i < chain.size(); ++i) {
-        if (chain[i].source == source) {
-          ++stats_.hits;
-          CachedProgram entry = std::move(chain[i]);
-          chain.erase(chain.begin() + static_cast<std::ptrdiff_t>(i));
-          if (chain.empty()) cold_.erase(it);
-          --cold_size_;
-          insert_hot_locked(key, entry);
-          return entry;
-        }
-      }
-    }
-  }
-  // Compile outside the lock; concurrent first-compilers of the same
-  // source do redundant work, never wrong work.
-  CachedProgram entry;
-  entry.source = source;
-  entry.program = pits::Program::parse(source);
-  // The abstract interpreter supplies proofs that let the compiler
-  // elide bounds/binding checks and batch statement ticks.
-  analyze::precompile_optimized(entry.program);
-  entry.chunk = entry.program.compiled_chunk();
-  std::lock_guard lock(mutex_);
-  ++stats_.misses;  // a compile happened, even if the race below loses
-  // Double-checked insert: a concurrent first-compiler may have won the
-  // race; reuse its entry instead of inserting a duplicate that inflates
-  // hot_size_ toward the cap. Both inserts and promotions target `hot`,
-  // so checking hot alone suffices.
-  if (auto it = hot_.find(key); it != hot_.end()) {
-    for (const CachedProgram& existing : it->second) {
-      if (existing.source == source) return existing;
-    }
-  }
-  insert_hot_locked(key, entry);
-  return entry;
-}
-
-ProgramCache::Stats ProgramCache::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
+  return cache_.get(source, [&] {
+    CachedProgram entry;
+    entry.program = pits::Program::parse(source);
+    // The abstract interpreter supplies proofs that let the compiler
+    // elide bounds/binding checks and batch statement ticks.
+    analyze::precompile_optimized(entry.program);
+    entry.chunk = entry.program.compiled_chunk();
+    return entry;
+  });
 }
 
 ProgramCache& program_cache() {

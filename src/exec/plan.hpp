@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <streambuf>
@@ -26,6 +25,7 @@
 #include "exec/executor.hpp"
 #include "pits/bytecode.hpp"
 #include "sched/schedule.hpp"
+#include "util/generational_cache.hpp"
 #include "util/strings.hpp"
 
 namespace banger::exec {
@@ -52,48 +52,27 @@ inline std::uint64_t seed_for(const std::string& task_name,
 // cached: they re-raise per run, exactly as before.
 
 struct CachedProgram {
-  std::string source;
   pits::Program program;
   std::shared_ptr<const pits::bc::Chunk> chunk;  ///< null -> walker only
 };
 
-/// Segmented (two-generation) LRU: entries live in a `hot` shard; when
-/// it fills, the previous generation (`cold`) is dropped and hot becomes
-/// cold. Anything touched at least once per generation is promoted back
-/// to hot and survives indefinitely, so a long-lived serve/stream
-/// process under cap pressure evicts only routines it stopped using —
-/// it never recompiles its whole working set at once the way the old
-/// clear-everything policy did.
+/// Source text -> compiled routine, on the segmented LRU of
+/// util/generational_cache.hpp: routines touched once per generation
+/// stay compiled under cap pressure.
 class ProgramCache {
  public:
   /// `cap` is per generation; worst-case residency is 2*cap entries.
   /// The default comfortably holds the largest bundled design (the
   /// 32x32 heat workload carries ~1k distinct routines).
-  explicit ProgramCache(std::size_t cap = 4096) : cap_(cap ? cap : 1) {}
+  explicit ProgramCache(std::size_t cap = 4096) : cache_(cap) {}
 
   CachedProgram get(const std::string& source);
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;       ///< compiles (first sight of a source)
-    std::uint64_t evictions = 0;    ///< entries dropped at generation flips
-  };
-  [[nodiscard]] Stats stats() const;
+  using Stats = util::GenerationalCache<CachedProgram>::Stats;
+  [[nodiscard]] Stats stats() const { return cache_.stats(); }
 
  private:
-  // FNV key -> entries (collision chain compares full source text).
-  using Shard = std::map<std::uint64_t, std::vector<CachedProgram>>;
-
-  /// Mutex held. Inserts into `hot`, flipping generations when full.
-  void insert_hot_locked(std::uint64_t key, const CachedProgram& entry);
-
-  std::size_t cap_;
-  mutable std::mutex mutex_;
-  Shard hot_;
-  Shard cold_;
-  std::size_t hot_size_ = 0;
-  std::size_t cold_size_ = 0;
-  Stats stats_;
+  util::GenerationalCache<CachedProgram> cache_;
 };
 
 /// The process-wide instance every execution mode shares.

@@ -1,5 +1,7 @@
 #include "machine/machine.hpp"
 
+#include <cmath>
+
 #include "util/error.hpp"
 
 namespace banger::machine {
@@ -13,6 +15,12 @@ std::string_view to_string(Routing routing) noexcept {
 }
 
 void MachineParams::validate() const {
+  for (const double v : {processor_speed, process_startup, message_startup,
+                         bytes_per_second, per_hop_latency}) {
+    if (!std::isfinite(v)) {
+      fail(ErrorCode::Machine, "machine parameters must be finite numbers");
+    }
+  }
   if (processor_speed <= 0) {
     fail(ErrorCode::Machine, "processor speed must be positive");
   }
@@ -32,8 +40,8 @@ Machine::Machine(Topology topology, MachineParams params, std::string name)
 
 void Machine::set_speed_factor(ProcId p, double factor) {
   BANGER_ASSERT(p >= 0 && p < num_procs(), "processor id out of range");
-  if (factor <= 0) {
-    fail(ErrorCode::Machine, "speed factor must be positive");
+  if (!(factor > 0) || !std::isfinite(factor)) {
+    fail(ErrorCode::Machine, "speed factor must be positive and finite");
   }
   speed_factor_[static_cast<std::size_t>(p)] = factor;
 }

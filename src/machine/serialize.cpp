@@ -1,6 +1,7 @@
 #include "machine/serialize.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -22,6 +23,12 @@ double parse_num(std::string_view s, int line) {
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
   if (ec != std::errc{} || ptr != s.data() + s.size()) {
     fail(ErrorCode::Parse, "bad number `" + std::string(s) + "`", {line, 1});
+  }
+  // from_chars accepts "nan" and "inf"; no machine parameter means
+  // anything with them (a zero bandwidth already spells free transfer).
+  if (!std::isfinite(value)) {
+    fail(ErrorCode::Machine,
+         "number `" + std::string(s) + "` is not finite", {line, 1});
   }
   return value;
 }

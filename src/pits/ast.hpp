@@ -60,6 +60,9 @@ struct Call {
 
 struct Expr {
   SourcePos pos;
+  /// Levels in this subtree (1 for a leaf); set by the parser, which
+  /// bounds it by kMaxNesting.
+  int height = 1;
   std::variant<NumberLit, StringLit, VarRef, VectorLit, Unary, Binary, Index,
                Call>
       node;
@@ -119,6 +122,14 @@ struct Stmt {
                FormulaDef, ExprStmt>
       node;
 };
+
+/// Deepest nesting a routine may reach: enclosing blocks plus levels of
+/// expression (parentheses, operands, call arguments, indices). Every
+/// pass over the AST — analysis, compilation, the tree-walker, the
+/// printer — recurses, so the parser rejects deeper input with a
+/// positioned Error{Parse} instead of letting a pathological routine
+/// exhaust the stack.
+inline constexpr int kMaxNesting = 256;
 
 /// Parses a whole routine body; throws Error{Parse}.
 Block parse_block(std::string_view source);

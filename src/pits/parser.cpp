@@ -1,6 +1,8 @@
 // Recursive-descent parser for PITS. Precedence (loosest first):
 //   or | and | not | = <> < <= > >= | + - | * / mod | unary - | ^ (right)
 //   | postfix [index] | primary.
+#include <algorithm>
+#include <string>
 #include <utility>
 
 #include "pits/ast.hpp"
@@ -72,10 +74,31 @@ class Parser {
   [[noreturn]] void error(const std::string& msg) const {
     fail(ErrorCode::Parse, msg, peek().pos);
   }
+  [[noreturn]] static void too_deep(SourcePos at) {
+    fail(ErrorCode::Parse,
+         "nesting is deeper than " + std::to_string(kMaxNesting) + " levels",
+         at);
+  }
+
+  /// One more level of syntactic nesting for the scope of a recursive
+  /// descent; bounds the parser's own stack.
+  class Nest {
+   public:
+    explicit Nest(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxNesting) too_deep(parser_.peek().pos);
+    }
+    ~Nest() { --parser_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& parser_;
+  };
 
   /// Statements until one of the given block-closing keywords (not
   /// consumed). Eof also stops.
   Block parse_stmts() {
+    const Nest nest(*this);
     Block block;
     skip_newlines();
     while (!check(Tok::Eof) && !check(Tok::KwEnd) && !check(Tok::KwElse) &&
@@ -227,7 +250,10 @@ class Parser {
 
   // ---- expressions ----
 
-  ExprPtr parse_expr() { return parse_or(); }
+  ExprPtr parse_expr() {
+    const Nest nest(*this);
+    return parse_or();
+  }
 
   ExprPtr parse_or() {
     ExprPtr lhs = parse_and();
@@ -250,6 +276,7 @@ class Parser {
   ExprPtr parse_not() {
     if (check(Tok::KwNot)) {
       const SourcePos at = advance().pos;
+      const Nest nest(*this);
       Unary u;
       u.op = UnOp::Not;
       u.operand = parse_not();
@@ -307,6 +334,7 @@ class Parser {
   ExprPtr parse_unary() {
     if (check(Tok::Minus)) {
       const SourcePos at = advance().pos;
+      const Nest nest(*this);
       Unary u;
       u.op = UnOp::Neg;
       u.operand = parse_unary();
@@ -319,6 +347,7 @@ class Parser {
     ExprPtr base = parse_postfix();
     if (check(Tok::Caret)) {
       const SourcePos at = advance().pos;
+      const Nest nest(*this);
       // Right-associative: a^b^c = a^(b^c).
       return make_binary(at, BinOp::Pow, std::move(base), parse_unary());
     }
@@ -379,15 +408,41 @@ class Parser {
     error("expected an expression");
   }
 
+  /// Height of the tallest child; left-associative chains (a+b+c...)
+  /// grow the tree without recursing in the parser, so the bound is
+  /// checked on the tree itself.
+  static int child_height(const Expr& e) {
+    auto of = [](const ExprPtr& child) { return child ? child->height : 0; };
+    auto tallest = [&](const std::vector<ExprPtr>& list) {
+      int h = 0;
+      for (const ExprPtr& child : list) h = std::max(h, of(child));
+      return h;
+    };
+    if (const auto* u = std::get_if<Unary>(&e.node)) return of(u->operand);
+    if (const auto* b = std::get_if<Binary>(&e.node)) {
+      return std::max(of(b->lhs), of(b->rhs));
+    }
+    if (const auto* ix = std::get_if<Index>(&e.node)) {
+      return std::max(of(ix->base), of(ix->index));
+    }
+    if (const auto* v = std::get_if<VectorLit>(&e.node)) {
+      return tallest(v->elements);
+    }
+    if (const auto* c = std::get_if<Call>(&e.node)) return tallest(c->args);
+    return 0;
+  }
+
   template <typename Node>
-  static ExprPtr make_expr(SourcePos at, Node&& node) {
+  ExprPtr make_expr(SourcePos at, Node&& node) const {
     auto e = std::make_unique<Expr>();
     e->pos = at;
     e->node = std::forward<Node>(node);
+    e->height = 1 + child_height(*e);
+    if (depth_ + e->height > kMaxNesting) too_deep(at);
     return e;
   }
-  static ExprPtr make_binary(SourcePos at, BinOp op, ExprPtr lhs,
-                             ExprPtr rhs) {
+  ExprPtr make_binary(SourcePos at, BinOp op, ExprPtr lhs,
+                      ExprPtr rhs) const {
     Binary b;
     b.op = op;
     b.lhs = std::move(lhs);
@@ -404,6 +459,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< enclosing blocks and expression recursions
 };
 
 }  // namespace

@@ -519,6 +519,15 @@ int Server::serve_stream(std::istream& in, std::ostream& out) {
       stop = true;
       continue;
     }
+    if (op == "upload") {
+      // A barrier: requests read before it finish first, and requests
+      // read after it see the name bound. Run on the pool instead, a
+      // `design_ref` right behind its upload can start first and be
+      // refused.
+      pool.wait_idle();
+      emit(s, handle_line(line));
+      continue;
+    }
 
     if (!try_acquire_slot()) {
       rec_->bump("serve.requests");

@@ -5,13 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "analyze/analyze.hpp"
 #include "cli/cli.hpp"
 #include "core/lint.hpp"
 #include "graph/serialize.hpp"
+#include "obs/trace.hpp"
+#include "util/strings.hpp"
 #include "workloads/designs.hpp"
 #include "workloads/lu.hpp"
 
@@ -498,6 +504,219 @@ TEST(LintCommand, JsonOutput) {
   EXPECT_NE(out.find("\"diagnostics\""), std::string::npos);
   // Interface layer only: no PITS dataflow codes in lint output.
   EXPECT_EQ(out.find("BAN102"), std::string::npos);
+}
+
+// ------------------------------------------------------ incremental check
+//
+// analyze_design memoises per-routine results process-wide. These tests
+// pin that a memo hit is indistinguishable from analysing in place:
+// same bytes on repeat, positions rebased when lines move, subjects
+// rebound when tasks are renamed, and the same answer from any thread.
+
+namespace fs = std::filesystem;
+
+/// Walks up from the build directory to the repo root.
+std::string repo_root() {
+  fs::path dir = fs::current_path();
+  for (int i = 0; i < 8 && !dir.empty(); ++i) {
+    if (fs::exists(dir / "samples" / "analysis") &&
+        fs::exists(dir / "tests" / "golden")) {
+      return dir.string();
+    }
+    if (dir == dir.parent_path()) break;
+    dir = dir.parent_path();
+  }
+  return {};
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+std::string replace_all(std::string text, const std::string& from,
+                        const std::string& to) {
+  for (std::size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size())) {
+    text.replace(at, from.size(), to);
+  }
+  return text;
+}
+
+/// Inserts `statement` as the first line of the `index`-th routine.
+std::string edit_routine(const std::string& pitl, std::size_t index,
+                         const std::string& statement) {
+  std::size_t at = 0;
+  for (std::size_t i = 0; i <= index; ++i) {
+    at = pitl.find("pits {\n", at);
+    EXPECT_NE(at, std::string::npos) << "no routine " << index;
+    at += 7;
+  }
+  std::string edited = pitl;
+  edited.insert(at, "    " + statement + "\n");
+  return edited;
+}
+
+std::size_t routine_count(const graph::Design& design) {
+  const auto flat = design.flatten();
+  std::size_t n = 0;
+  for (graph::TaskId t = 0; t < flat.graph.num_tasks(); ++t) {
+    if (!util::trim(flat.graph.task(t).pits).empty()) ++n;
+  }
+  return n;
+}
+
+struct MemoCounts {
+  double hits = 0;
+  double misses = 0;
+};
+
+/// analyze_design under a private recorder, reporting the memo counters.
+std::vector<Diagnostic> analyze_counted(const graph::Design& design,
+                                        MemoCounts& counts) {
+  obs::TraceRecorder rec;
+  const obs::ScopedRecorder scope(rec);
+  auto diags = analyze_design(design);
+  counts.hits = rec.metric("analyze.memo.hits");
+  counts.misses = rec.metric("analyze.memo.misses");
+  return diags;
+}
+
+TEST(IncrementalCheck, RepeatRunsMatchGoldensByteForByte) {
+  const std::string root = repo_root();
+  ASSERT_FALSE(root.empty()) << "repo root not found from cwd";
+  for (const char* name :
+       {"absint_showcase", "shape_mismatch", "clean_loops"}) {
+    const std::string rel = std::string("samples/analysis/") + name + ".pitl";
+    const auto design = graph::load_design(root + "/" + rel);
+    EmitOptions options;
+    options.file = rel;
+    const std::string golden = root + "/tests/golden/analyze/" + name;
+    if (const char* env = std::getenv("BANGER_UPDATE_GOLDEN");
+        env != nullptr && env[0] == '1') {
+      const auto diags = analyze_design(design);
+      std::ofstream(golden + ".txt", std::ios::binary)
+          << emit_text(diags, options);
+      std::ofstream(golden + ".json", std::ios::binary)
+          << emit_json(diags, options);
+    }
+    for (int run = 0; run < 2; ++run) {
+      MemoCounts counts;
+      const auto diags = analyze_counted(design, counts);
+      EXPECT_EQ(emit_text(diags, options), slurp(golden + ".txt"))
+          << name << " run " << run;
+      EXPECT_EQ(emit_json(diags, options), slurp(golden + ".json"))
+          << name << " run " << run;
+      EXPECT_EQ(emit_sarif(diags, options), slurp(golden + ".sarif"))
+          << name << " run " << run;
+      EXPECT_EQ(counts.hits + counts.misses,
+                static_cast<double>(routine_count(design)));
+      if (run == 1) {
+        EXPECT_EQ(counts.misses, 0.0) << name;
+      }
+    }
+  }
+}
+
+TEST(IncrementalCheck, InsertedLineShiftsLaterTasksByOne) {
+  const std::string root = repo_root();
+  ASSERT_FALSE(root.empty()) << "repo root not found from cwd";
+  const std::string pitl =
+      slurp(root + "/samples/analysis/absint_showcase.pitl");
+  const std::string edited = edit_routine(pitl, 0, "pad := 1");
+  // The statement lands on the line after the first `pits {`.
+  const int inserted_line = static_cast<int>(
+      std::count(pitl.begin(), pitl.begin() + pitl.find("pits {\n") + 7,
+                 '\n') + 1);
+
+  const auto before = analyze_design(graph::parse_design(pitl));
+  MemoCounts counts;
+  const auto after = analyze_counted(graph::parse_design(edited), counts);
+  EXPECT_EQ(counts.misses, 1.0);  // only the edited routine
+  EXPECT_EQ(counts.hits, static_cast<double>(
+                             routine_count(graph::parse_design(pitl)) - 1));
+
+  auto others = [](std::vector<Diagnostic> diags) {
+    std::erase_if(diags,
+                  [](const Diagnostic& d) { return d.subject == "div_zero"; });
+    return diags;
+  };
+  std::vector<Diagnostic> shifted = others(before);
+  ASSERT_FALSE(shifted.empty());
+  for (Diagnostic& d : shifted) {
+    ASSERT_GT(d.pos.line, inserted_line) << d.to_string();
+    ++d.pos.line;
+  }
+  const std::vector<Diagnostic> later = others(after);
+  ASSERT_EQ(later.size(), shifted.size());
+  for (std::size_t i = 0; i < later.size(); ++i) {
+    EXPECT_EQ(later[i].to_string(), shifted[i].to_string());
+    EXPECT_EQ(later[i].hint, shifted[i].hint);
+    EXPECT_EQ(later[i].pos, shifted[i].pos);
+  }
+}
+
+TEST(IncrementalCheck, RenamedTaskChangesOnlyTheSubject) {
+  const std::string root = repo_root();
+  ASSERT_FALSE(root.empty()) << "repo root not found from cwd";
+  const std::string pitl =
+      slurp(root + "/samples/analysis/absint_showcase.pitl");
+  const std::string renamed = replace_all(pitl, "endless", "runaway");
+  ASSERT_NE(renamed, pitl);
+
+  auto expected = analyze_design(graph::parse_design(pitl));
+  ASSERT_TRUE(fires(expected, "BAN304"));
+  for (Diagnostic& d : expected) {
+    if (d.subject == "endless") d.subject = "runaway";
+  }
+  sort_and_dedupe(expected);
+  MemoCounts counts;
+  const auto got = analyze_counted(graph::parse_design(renamed), counts);
+  EXPECT_EQ(counts.misses, 0.0);  // same routines, new name: all hits
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].to_string(), expected[i].to_string());
+    EXPECT_EQ(got[i].hint, expected[i].hint);
+  }
+}
+
+TEST(IncrementalCheck, ConcurrentEditsAgreeAcrossThreads) {
+  const std::string base = graph::to_pitl(workloads::heat_design(6, 3, 2));
+  std::vector<std::string> designs{base};
+  for (std::size_t k = 0; k < 8; ++k) {
+    designs.push_back(edit_routine(
+        base, 2 * k + 1, "memo_probe := " + std::to_string(k)));
+  }
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::vector<std::string>> seen(
+      kThreads, std::vector<std::string>(designs.size()));
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      // Rotated orders, so the same fresh routine misses on several
+      // threads at once.
+      for (std::size_t n = 0; n < designs.size(); ++n) {
+        const std::size_t d = (n + i) % designs.size();
+        seen[i][d] = emit_json(analyze_design(graph::parse_design(designs[d])));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t d = 0; d < designs.size(); ++d) {
+    const std::string expected =
+        emit_json(analyze_design(graph::parse_design(designs[d])));
+    if (d > 0) {
+      EXPECT_NE(expected.find("BAN102"), std::string::npos) << d;
+    }
+    for (std::size_t i = 0; i < kThreads; ++i) {
+      EXPECT_EQ(seen[i][d], expected) << "thread " << i << " design " << d;
+    }
+  }
 }
 
 }  // namespace

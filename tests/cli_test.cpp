@@ -448,5 +448,80 @@ TEST_F(CliFiles, ServeStdioStreamMatchesCli) {
   EXPECT_EQ(output->as_string(), one_shot.out);
 }
 
+// ---------------------------------------------------- hostile inputs
+//
+// Inputs a file can carry must end in a positioned error, never a crash
+// or an internal assertion.
+
+std::string write_file(const std::string& name, const std::string& text) {
+  const std::string path = testing::TempDir() + "/" + name;
+  std::ofstream(path, std::ios::binary) << text;
+  return path;
+}
+
+/// One task whose routine nests `depth` parentheses around its input.
+std::string nested_design(int depth) {
+  return "design deep\ngraph deep\n  store x bytes=8\n  store y bytes=8\n"
+         "  task t work=1 in=x out=y\n  pits {\n    y := " +
+         std::string(static_cast<std::size_t>(depth), '(') + "x" +
+         std::string(static_cast<std::size_t>(depth), ')') +
+         "\n  }\n  arc x -> t var=x\n  arc t -> y var=y\n";
+}
+
+TEST(CliHostile, DeeplyNestedPitsIsAParseErrorNotACrash) {
+  // 10,000 parentheses (about 20 KB) are enough to overflow the stack
+  // of a pass that recurses over the AST; every command must report the
+  // nesting limit instead.
+  const std::string design = write_file("cli_deep.pitl", nested_design(10000));
+  const std::string machine = write_file(
+      "cli_deep.machine", "machine m\ntopology full procs=2\nspeed 1\n");
+
+  const auto check = invoke({"check", design});
+  EXPECT_EQ(check.code, 1) << check.err;
+  EXPECT_NE(check.out.find("error[BAN003]"), std::string::npos) << check.out;
+  EXPECT_NE(check.out.find("nesting is deeper than 256 levels"),
+            std::string::npos)
+      << check.out;
+  EXPECT_NE(check.out.find("cli_deep.pitl:7:"), std::string::npos)
+      << "BAN003 carries the file line of the routine";
+
+  const auto trial = invoke({"trial", design, "--input", "x=2"});
+  EXPECT_EQ(trial.code, 1);
+  EXPECT_NE(trial.err.find("nesting is deeper"), std::string::npos)
+      << trial.err;
+  const auto run = invoke({"run", design, machine, "--input", "x=2"});
+  EXPECT_EQ(run.code, 1);
+  EXPECT_NE(run.err.find("nesting is deeper"), std::string::npos) << run.err;
+
+  // Just inside the limit the same shape checks clean and runs.
+  const std::string ok = write_file("cli_deep_ok.pitl", nested_design(200));
+  const auto clean = invoke({"check", ok});
+  EXPECT_EQ(clean.code, 0) << clean.out;
+  const auto ran = invoke({"trial", ok, "--input", "x=2"});
+  EXPECT_EQ(ran.code, 0) << ran.err;
+  EXPECT_NE(ran.out.find("y = 2"), std::string::npos) << ran.out;
+}
+
+TEST_F(CliFiles, NonFiniteMachineNumberIsAMachineError) {
+  // A NaN startup reaching the scheduler trips its internal assertion
+  // (`winner != nullptr`); the machine parser must refuse it first.
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    const std::string machine = write_file(
+        "cli_nan.machine", std::string("machine m\ntopology full procs=3\n"
+                                       "speed 1\nmessage_startup ") +
+                               value + "\nbandwidth 0\n");
+    const auto r = invoke({"schedule", design_path_, machine});
+    EXPECT_EQ(r.code, 1) << value;
+    EXPECT_NE(r.err.find("machine error at 4:1"), std::string::npos)
+        << value << ": " << r.err;
+    EXPECT_NE(r.err.find("is not finite"), std::string::npos) << r.err;
+  }
+  // Zero bandwidth still means free transfer.
+  const std::string free_links = write_file(
+      "cli_free.machine",
+      "machine m\ntopology full procs=3\nspeed 1\nbandwidth 0\n");
+  EXPECT_EQ(invoke({"schedule", design_path_, free_links}).code, 0);
+}
+
 }  // namespace
 }  // namespace banger::cli

@@ -1,6 +1,8 @@
 // Lexer, parser, pretty-printer, and static-analysis tests for PITS.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "pits/ast.hpp"
 #include "pits/token.hpp"
 #include "util/error.hpp"
@@ -163,6 +165,50 @@ TEST(Parser, UnaryMinusBindsTighterThanMul) {
   auto block = parse_block("x := -2 ^ 2");
   const auto& assign = std::get<AssignStmt>(block[0]->node);
   EXPECT_TRUE(std::holds_alternative<Unary>(assign.value->node));
+}
+
+TEST(Parser, NestingLimitIsPositionedParseError) {
+  auto expect_too_deep = [](const std::string& source, int line) {
+    try {
+      (void)parse_block(source);
+      ADD_FAILURE() << "parsed: " << source.substr(0, 40);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Parse);
+      EXPECT_TRUE(e.pos().valid());
+      if (line > 0) {
+        EXPECT_EQ(e.pos().line, line);
+      }
+      EXPECT_NE(e.message().find("nesting is deeper than"), std::string::npos)
+          << e.message();
+    }
+  };
+  auto repeat = [](const std::string& s, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += s;
+    return out;
+  };
+  const int n = kMaxNesting;
+  // Parentheses, unary chains, right-associative powers, calls, blocks.
+  expect_too_deep("x := " + repeat("(", n) + "1" + repeat(")", n), 1);
+  expect_too_deep("y := 0\nx := " + repeat("- ", n) + "1", 2);
+  expect_too_deep("x := " + repeat("not ", n) + "1", 1);
+  expect_too_deep("x := 2" + repeat(" ^ 2", n), 1);
+  expect_too_deep("x := " + repeat("abs(", n) + "1" + repeat(")", n), 1);
+  expect_too_deep(repeat("if 1 then\n", n) + "x := 1\n" + repeat("end\n", n),
+                  0);
+  // Left-associative chains build deep trees without parser recursion;
+  // the bound holds on the tree too.
+  expect_too_deep("x := 1" + repeat(" + 1", n), 1);
+  expect_too_deep("x := ((1" + repeat(" + 1", n / 2) + ")" +
+                      repeat(" * 2", n / 2) + ")",
+                  1);
+
+  // Well inside the limit everything still parses.
+  EXPECT_NO_THROW((void)parse_block("x := " + repeat("(", n / 2) + "1" +
+                                    repeat(")", n / 2)));
+  EXPECT_NO_THROW((void)parse_block("x := 1" + repeat(" + 1", n / 2)));
+  EXPECT_NO_THROW((void)parse_block(repeat("if 1 then\n", n / 2) + "x := 1\n" +
+                                    repeat("end\n", n / 2)));
 }
 
 TEST(Parser, ErrorsWithPositions) {

@@ -1,6 +1,9 @@
 // Round-trip and error tests for the .pitl and .machine text formats.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "graph/serialize.hpp"
 #include "machine/serialize.hpp"
 #include "util/error.hpp"
@@ -84,6 +87,39 @@ TEST(PitlParse, ErrorsCarryLineNumbers) {
     EXPECT_EQ(e.code(), ErrorCode::Parse);
     EXPECT_EQ(e.pos().line, 3);
   }
+}
+
+TEST(MachineParse, RejectsNonFiniteNumbers) {
+  for (const char* value : {"nan", "inf", "-inf", "infinity", "NaN"}) {
+    for (const char* directive :
+         {"speed", "process_startup", "message_startup", "bandwidth",
+          "per_hop_latency"}) {
+      try {
+        (void)machine::parse_machine(std::string("topology full procs=2\n") +
+                                     directive + " " + value + "\n");
+        ADD_FAILURE() << directive << " " << value << " parsed";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::Machine) << directive << " " << value;
+        EXPECT_EQ(e.pos().line, 2);
+      }
+    }
+  }
+  EXPECT_THROW((void)machine::parse_machine(
+                   "topology full procs=2\nspeed_factor 1 nan\n"),
+               Error);
+  // Non-positive bandwidth keeps meaning free transfer.
+  const auto free_links =
+      machine::parse_machine("topology full procs=2\nbandwidth 0\n");
+  EXPECT_EQ(free_links.comm_time(1e6, 0, 1), 0.0);
+}
+
+TEST(MachineParams, ValidateRejectsNaN) {
+  machine::MachineParams params;
+  params.message_startup = std::nan("");
+  EXPECT_THROW(params.validate(), Error);
+  params.message_startup = 0.0;
+  params.bytes_per_second = std::nan("");
+  EXPECT_THROW(params.validate(), Error);
 }
 
 TEST(PitlParse, RejectsUnknownChildGraph) {

@@ -41,6 +41,7 @@ const char* const kHotBenchmarks[] = {
     "BM_ServeTrialBatch",
     "BM_ScheduleEtf/4096",
     "BM_ScheduleDsh/4096",
+    "BM_AnalyzeDesignEdit",
 };
 
 constexpr double kMaxRegression = 1.25;  // fail above +25% per op
