@@ -9,10 +9,13 @@
 //
 // Two consumers share the engine:
 //
-//   diagnostics  run_absint_rules() proves BAN301-BAN305 facts about one
-//                routine (guaranteed division by zero, interval-proven
-//                out-of-bounds indices, dead branches, non-terminating
-//                loops, elementwise length mismatches) and returns a
+//   diagnostics  run_routine_rules() is the whole routine layer of
+//                `banger check`: a syntactic census of the routine
+//                (dead stores, code after `return`, unknown calls,
+//                arity) plus the value rules read off the interpreter's
+//                own walk — use before assignment from definite
+//                assignment, BAN104/105/108 from a folded-constant lane,
+//                BAN301-BAN305 from the intervals. It returns a
 //                ShapeSummary used by run_shape_rules() to check
 //                producer/consumer shapes along the flattened task graph
 //                (BAN306);
@@ -35,6 +38,7 @@
 #include "graph/design.hpp"
 #include "pits/ast.hpp"
 #include "pits/facts.hpp"
+#include "pits/value.hpp"
 #include "util/error.hpp"
 
 namespace banger::pits {
@@ -106,9 +110,17 @@ struct AbsVal {
   Interval num;
   Interval len{0, kAbsInf, true, false};
   Interval elem;
-  /// Name of the task input this value is an unmodified copy of, empty
-  /// otherwise. Powers the cross-task shape demands of BAN306.
-  std::string origin;
+  /// The task input this value is an unmodified copy of (a name in the
+  /// RoutineContext's inputs), null otherwise. Powers the cross-task
+  /// shape demands of BAN306.
+  const std::string* origin = nullptr;
+  /// The folded-constant lane: the exact value when straight-line
+  /// folding (pits/fold.hpp) proves one, null otherwise. Points into the
+  /// interpreter's pool of folded values, so AbsVal stays trivially
+  /// copyable. Set by an assignment in the recording walk of diagnostics
+  /// mode only, so a loop head keeps just the constants no iteration
+  /// reassigns. Joins keep it where both sides hold the same value.
+  const pits::Value* constant = nullptr;
 
   [[nodiscard]] bool proven_scalar() const {
     return may_scalar && !may_vector && !may_string && !may_unbound;
@@ -180,20 +192,19 @@ struct ShapeSummary {
 /// Program::precompile() used by the executor and the calculator panel.
 void precompile_optimized(const pits::Program& program);
 
-/// Interval/shape diagnostics (BAN301-BAN305) over one routine, with
-/// declared inputs assumed bound. Appends to `sink` (and prunes BAN101
-/// reports the interpreter proves are false positives); returns the
-/// routine's shape summary for run_shape_rules(). `sink` must hold this
-/// routine's diagnostics only: deferral and pruning match by position.
-ShapeSummary run_absint_rules(const pits::Block& body,
-                              const RoutineContext& context,
-                              std::vector<Diagnostic>& sink);
+/// The routine layer (BAN101-BAN108, BAN301-BAN305) over one routine,
+/// with declared inputs assumed bound. Appends to `sink` with
+/// routine-relative positions; returns the routine's shape summary for
+/// run_shape_rules().
+ShapeSummary run_routine_rules(const pits::Block& body,
+                               const RoutineContext& context,
+                               std::vector<Diagnostic>& sink);
 
 /// Graph-level shape propagation (BAN306): compares each flattened
 /// store's producer output shapes against its consumers' input demands.
 /// `summaries` is indexed by task id of `flat.graph` (null: no summary).
 /// Demand positions are routine-relative and are reported through the
-/// reading task's pits_line/pits_indent (routine_to_file).
+/// reading task's pits_line/pits_indent (graph::routine_to_file).
 void run_shape_rules(const graph::FlattenResult& flat,
                      const std::vector<const ShapeSummary*>& summaries,
                      std::vector<Diagnostic>& sink);

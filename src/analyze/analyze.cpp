@@ -18,10 +18,9 @@ namespace {
 /// routine, declared inputs and outputs match.
 struct RoutineFacts {
   RoutineInterface interface;
-  /// PITS dataflow then absint diagnostics, in emission order (BAN101
-  /// reports the interpreter disproves already pruned).
+  /// Routine-layer diagnostics, in emission order.
   std::vector<Diagnostic> diagnostics;
-  ShapeSummary shape;  ///< empty unless the absint layer ran
+  ShapeSummary shape;  ///< empty unless the routine layer ran
 };
 
 using RoutineMemo =
@@ -36,14 +35,13 @@ RoutineMemo& routine_memo() {
   return memo;
 }
 
-/// The memo key: the rule layers that shape a routine's result, the
-/// declared inputs and outputs, then the routine text. Counts and
-/// length prefixes keep it injective whatever the names contain.
-std::string memo_key(const graph::Task& task, bool pits, bool absint) {
+/// The memo key: whether the routine layer runs, the declared inputs
+/// and outputs, then the routine text. Counts and length prefixes keep
+/// it injective whatever the names contain.
+std::string memo_key(const graph::Task& task, bool pits) {
   std::string key;
   key.reserve(task.pits.size() + 64);
   key += pits ? 'p' : '-';
-  key += absint ? 'a' : '-';
   auto names = [&](const std::vector<std::string>& list) {
     key += std::to_string(list.size());
     key += '/';
@@ -59,10 +57,10 @@ std::string memo_key(const graph::Task& task, bool pits, bool absint) {
   return key;
 }
 
-/// A memo miss: parses the routine once and runs every per-routine
-/// layer over that one AST.
+/// A memo miss: parses the routine once and derives the interface
+/// facts and the routine layer from that one AST.
 std::shared_ptr<const RoutineFacts> analyse_routine(const graph::Task& task,
-                                                    bool pits, bool absint) {
+                                                    bool pits) {
   auto facts = std::make_shared<RoutineFacts>();
   pits::Program program;
   try {
@@ -79,30 +77,18 @@ std::shared_ptr<const RoutineFacts> analyse_routine(const graph::Task& task,
     RoutineContext ctx;
     ctx.inputs = task.inputs;
     ctx.outputs = task.outputs;
-    analyze_routine(program.body(), ctx, facts->diagnostics);
-    if (absint) {
-      // Runs after the dataflow pass on purpose: the interval engine
-      // both defers to its reports (BAN104/105/108 win over BAN30x at
-      // the same spot) and prunes BAN101s it proves false.
-      facts->shape = run_absint_rules(program.body(), ctx, facts->diagnostics);
-    }
+    facts->shape = run_routine_rules(program.body(), ctx, facts->diagnostics);
   }
   return facts;
 }
 
 }  // namespace
 
-SourcePos routine_to_file(SourcePos pos, int pits_line, int pits_indent) {
-  if (!pos.valid() || pits_line <= 0) return pos;
-  return {pits_line + pos.line - 1, pos.column + pits_indent};
-}
-
 std::vector<Diagnostic> analyze_design(const graph::Design& design,
                                        const AnalyzeOptions& options) {
   const auto flat = design.flatten();
   const graph::TaskGraph& g = flat.graph;
   const bool pits = options.pits_rules;
-  const bool absint = pits && options.absint_rules;
 
   // Null for tasks whose routine is blank.
   std::vector<std::shared_ptr<const RoutineFacts>> routines(g.num_tasks());
@@ -113,9 +99,9 @@ std::vector<Diagnostic> analyze_design(const graph::Design& design,
       const graph::Task& task = g.task(t);
       if (util::trim(task.pits).empty()) continue;
       ++lookups;
-      routines[t] = routine_memo().get(memo_key(task, pits, absint), [&] {
+      routines[t] = routine_memo().get(memo_key(task, pits), [&] {
         ++misses;
-        return analyse_routine(task, pits, absint);
+        return analyse_routine(task, pits);
       });
     }
     if (obs::TraceRecorder* rec = obs::current()) {
@@ -144,13 +130,11 @@ std::vector<Diagnostic> analyze_design(const graph::Design& design,
       for (const Diagnostic& d : facts->diagnostics) {
         Diagnostic& placed = diagnostics.emplace_back(d);
         placed.subject = task.name;
-        placed.pos = routine_to_file(d.pos, task.pits_line, task.pits_indent);
+        placed.pos = graph::routine_to_file(task, d.pos);
       }
       shapes[t] = &facts->shape;
     }
-    if (absint) {
-      run_shape_rules(flat, shapes, diagnostics);
-    }
+    run_shape_rules(flat, shapes, diagnostics);
   }
 
   if (options.determinacy_rules) {

@@ -7,21 +7,30 @@
 //   interface   (BAN001-BAN010): drawing-level checks — routine/port
 //               mismatches, unbound inputs, dead stores, unobservable
 //               work (the original `lint_design` rules, rewired);
-//   pits        (BAN101-BAN108): dataflow over each routine's AST —
-//               use-before-def, dead stores, unreachable code, constant
-//               folding (guaranteed div/mod-by-zero, out-of-range vector
-//               indices), unknown functions, arity mismatches, trivially
-//               non-terminating loops;
-//   absint      (BAN301-BAN306): abstract interpretation over each
-//               routine (analyze/absint.hpp) — interval-proven division
-//               by zero and out-of-bounds indices, dead branches,
-//               non-terminating loops, elementwise length mismatches,
-//               plus graph-level producer/consumer shape checking;
+//   routine     (BAN101-BAN108, BAN301-BAN306): one abstract
+//               interpretation per routine (analyze/absint.hpp). A
+//               census of the whole routine, dead code included, gives
+//               the syntactic rules: dead stores, code after `return`,
+//               unknown functions, arity, formula bodies reading task
+//               variables. The interpreter's walk gives the value rules,
+//               in reachable code only: use before assignment, a
+//               divisor, index or `while` condition that folds to a
+//               constant (BAN104/105/108), and the interval proofs
+//               (BAN301-BAN305). BAN306 joins each routine's shape
+//               summary along the flattened task graph;
 //   determinacy (BAN201-BAN203): races over the flattened task graph —
 //               unordered writers to a store, readers unordered with
 //               writers (var-aliased stores), schedule-dependent output
 //               merges. Ordering is the transitive closure of the
 //               flattened dataflow dependences.
+//
+// What counts as a constant differs by rule family. BAN104/105/108 use
+// straight-line folding (pits/fold.hpp, the compiler's folder): values
+// from literals, assignments and calculator constants nothing shadows,
+// dropped by any loop that reassigns the variable and kept across an
+// `if` only where every reachable arm agrees. BAN301-BAN305 use the
+// intervals, which also see through loops and branch conditions. Where
+// both would fire at one spot, the constant rule reports.
 #pragma once
 
 #include <string>
@@ -37,11 +46,8 @@ struct AnalyzeOptions {
   /// Rule layers; `banger lint` runs interface only (compatibility),
   /// `banger check` runs everything.
   bool interface_rules = true;
+  /// The routine layer (BAN101-BAN108, BAN301-BAN306).
   bool pits_rules = true;
-  /// Abstract-interpretation layer (BAN301-BAN306); runs per routine
-  /// after the dataflow layer and once more across the task graph.
-  /// Requires pits_rules-style parsing, so it is gated on pits_rules.
-  bool absint_rules = true;
   bool determinacy_rules = true;
 
   /// BAN002: complain about tasks whose PITS body is empty (skeleton
@@ -56,35 +62,24 @@ struct AnalyzeOptions {
 /// (Error{Graph} propagates otherwise). Returns diagnostics sorted and
 /// deduplicated by sort_and_dedupe().
 ///
-/// Per-routine results (interface facts, PITS and absint diagnostics,
-/// shape summaries) come from a process-wide memo keyed by routine
-/// text, declared inputs and outputs, and the enabled routine layers,
-/// so re-checking an edited design re-analyses only the routines the
-/// edit touched (see docs/analysis.md, "Incremental check").
+/// Per-routine results (interface facts, routine diagnostics, shape
+/// summaries) come from a process-wide memo keyed by routine text,
+/// declared inputs and outputs, and whether the routine layer runs, so
+/// re-checking an edited design re-analyses only the routines the edit
+/// touched (see docs/analysis.md, "Incremental check").
 std::vector<Diagnostic> analyze_design(const graph::Design& design,
                                        const AnalyzeOptions& options = {});
 
 /// Context for analysing one PITS routine on its own. The routine
-/// layers report positions relative to the routine and leave the
+/// layer reports positions relative to the routine and leaves the
 /// subject empty; analyze_design names the task and maps positions into
-/// the file (routine_to_file) when it places their diagnostics.
+/// the file (graph::routine_to_file) when it places its diagnostics.
 struct RoutineContext {
   /// Declared inputs: defined before the routine starts.
   std::vector<std::string> inputs;
   /// Declared outputs: assignments to them are never dead.
   std::vector<std::string> outputs;
 };
-
-/// Maps a routine-relative position to file coordinates: the routine
-/// starts on file line `pits_line`, indented by `pits_indent`. Invalid
-/// positions, and any position when `pits_line` is 0 (designs built in
-/// code), stay unchanged.
-SourcePos routine_to_file(SourcePos pos, int pits_line, int pits_indent);
-
-/// PITS dataflow layer (BAN101-BAN108) over one parsed routine.
-/// Appends to `sink`.
-void analyze_routine(const pits::Block& body, const RoutineContext& context,
-                     std::vector<Diagnostic>& sink);
 
 /// What the interface layer needs from one task's routine: the
 /// variables it reads and writes, or why it does not parse.

@@ -71,8 +71,7 @@ void check_task_interfaces(const FlattenResult& flat,
     if (!routine->parses) {
       SourcePos pos = task.pos;
       if (task.pits_line > 0 && routine->parse_error_pos.valid()) {
-        pos = routine_to_file(routine->parse_error_pos, task.pits_line,
-                              task.pits_indent);
+        pos = graph::routine_to_file(task, routine->parse_error_pos);
       }
       sink.push_back(make("BAN003", "task", task.name,
                           "PITS does not parse: " + routine->parse_error,

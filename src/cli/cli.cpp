@@ -756,7 +756,7 @@ std::string usage() {
       "                                        (--json for machine output;\n"
       "                                        exits 1 when errors are found)\n"
       "  check    <design.pitl>                full static analysis: interface,\n"
-      "                                        PITS dataflow, determinacy/races\n"
+      "                                        routine, determinacy/races\n"
       "                                        (--format text|json|sarif,\n"
       "                                        --fail-on warning|error)\n"
       "  compare  <design> <machine>           all heuristics side by side\n"

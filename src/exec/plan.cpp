@@ -76,7 +76,7 @@ DesignPlan build_plan(const FlattenResult& flat, const RunOptions& options,
         tp.runnable = true;
       } catch (const Error& e) {
         fail(e.code(), "in task `" + task.name + "`: " + e.message(),
-             e.pos());
+             graph::routine_to_file(task, e.pos()));
       }
     }
     const pits::bc::Chunk* chunk =

@@ -234,7 +234,8 @@ TaskOutputs execute_task_with(const FlattenResult& flat,
       tp.program.execute(env, exec_opts);
     }
   } catch (const Error& e) {
-    fail(e.code(), "in task `" + task.name + "`: " + e.message(), e.pos());
+    fail(e.code(), "in task `" + task.name + "`: " + e.message(),
+         graph::routine_to_file(task, e.pos()));
   }
   outputs.reserve(task.outputs.size());
   for (std::size_t i = 0; i < task.outputs.size(); ++i) {

@@ -45,6 +45,17 @@ struct Task {
   int pits_indent = 0;
 };
 
+/// Maps a position inside `task`'s routine to file coordinates: the
+/// routine starts on file line `pits_line`, indented by `pits_indent`.
+/// Invalid positions, and any position when `pits_line` is 0 (designs
+/// built in code), stay unchanged. Every report about a routine — check
+/// diagnostics, parse and run-time errors — goes through this one rule.
+[[nodiscard]] inline SourcePos routine_to_file(const Task& task,
+                                               SourcePos pos) {
+  if (!pos.valid() || task.pits_line <= 0) return pos;
+  return {task.pits_line + pos.line - 1, pos.column + task.pits_indent};
+}
+
 /// A data dependence: `to` may not start before `from` finishes, and if
 /// they run on different processors, `bytes` of data must be shipped.
 struct Edge {

@@ -155,7 +155,9 @@ class Vm {
     return true;
   }
 
-  /// Scalar-scalar ordering fast path for Lt/Le/Gt/Ge.
+  /// Scalar-scalar ordering fast path for Lt/Le/Gt/Ge. The walker's
+  /// three-way compare orders NaN as equal, so Le/Ge test `!(a > b)` /
+  /// `!(a < b)` rather than IEEE `<=` / `>=` (false for NaN).
   template <typename Cmp>
   bool fast_compare(const Instr& in, std::vector<Value>& regs, Cmp cmp) {
     const Scalar* a = regs[in.b].scalar_if();
@@ -513,14 +515,14 @@ class Vm {
           break;
         case Op::LeK:
           compare_k(in, regs, Op::Le,
-                    [](double a, double b) { return a <= b; });
+                    [](double a, double b) { return !(a > b); });
           break;
         case Op::GtK:
           compare_k(in, regs, Op::Gt, [](double a, double b) { return a > b; });
           break;
         case Op::GeK:
           compare_k(in, regs, Op::Ge,
-                    [](double a, double b) { return a >= b; });
+                    [](double a, double b) { return !(a < b); });
           break;
         case Op::EqK:
           set_scalar(regs[in.a],
@@ -542,7 +544,7 @@ class Vm {
           break;
         case Op::Le:
           if (!fast_compare(in, regs,
-                            [](double a, double b) { return a <= b; }))
+                            [](double a, double b) { return !(a > b); }))
             regs[in.a] = compare(in.op, regs[in.b], regs[in.c], in.pos);
           break;
         case Op::Gt:
@@ -551,7 +553,7 @@ class Vm {
           break;
         case Op::Ge:
           if (!fast_compare(in, regs,
-                            [](double a, double b) { return a >= b; }))
+                            [](double a, double b) { return !(a < b); }))
             regs[in.a] = compare(in.op, regs[in.b], regs[in.c], in.pos);
           break;
         // Fused compare+branch: the comparison executes exactly as the
@@ -568,7 +570,7 @@ class Vm {
           break;
         case Op::LeBr:
           if (!fast_compare(in, regs,
-                            [](double a, double b) { return a <= b; }))
+                            [](double a, double b) { return !(a > b); }))
             regs[in.a] = compare(Op::Le, regs[in.b], regs[in.c], in.pos);
           if (!regs[in.a].truthy()) {
             ip = static_cast<std::uint32_t>(in.d);
@@ -585,7 +587,7 @@ class Vm {
           break;
         case Op::GeBr:
           if (!fast_compare(in, regs,
-                            [](double a, double b) { return a >= b; }))
+                            [](double a, double b) { return !(a < b); }))
             regs[in.a] = compare(Op::Ge, regs[in.b], regs[in.c], in.pos);
           if (!regs[in.a].truthy()) {
             ip = static_cast<std::uint32_t>(in.d);
@@ -615,7 +617,7 @@ class Vm {
           break;
         case Op::LeKBr:
           compare_k(in, regs, Op::Le,
-                    [](double a, double b) { return a <= b; });
+                    [](double a, double b) { return !(a > b); });
           if (!regs[in.a].truthy()) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
@@ -630,7 +632,7 @@ class Vm {
           break;
         case Op::GeKBr:
           compare_k(in, regs, Op::Ge,
-                    [](double a, double b) { return a >= b; });
+                    [](double a, double b) { return !(a < b); });
           if (!regs[in.a].truthy()) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;

@@ -502,6 +502,59 @@ TEST(CliHostile, DeeplyNestedPitsIsAParseErrorNotACrash) {
   EXPECT_NE(ran.out.find("y = 2"), std::string::npos) << ran.out;
 }
 
+/// The `line:col` right after the first `marker` in `text`, or "".
+std::string position_after(const std::string& text,
+                           const std::string& marker) {
+  const std::size_t at = text.find(marker);
+  if (at == std::string::npos) return {};
+  const std::size_t start = at + marker.size();
+  std::string pos = text.substr(
+      start, text.find_first_not_of("0123456789:", start) - start);
+  if (!pos.empty() && pos.back() == ':') pos.pop_back();
+  return pos;
+}
+
+/// One task whose routine (file lines 7 onwards) is `body`.
+std::string routine_file(const std::string& name, const std::string& body) {
+  return write_file(name,
+                    "design d\ngraph g\n  store x bytes=8\n"
+                    "  store y bytes=8\n  task t work=1 in=x out=y\n"
+                    "  pits {\n" + body + "  }\n  arc x -> t var=x\n"
+                    "  arc t -> y var=y\n");
+}
+
+TEST(CliHostile, CheckAndTrialReportTheSameFilePositions) {
+  // `check` places routine findings in file coordinates; `trial`
+  // re-raises a routine's parse and run-time errors in the same ones.
+  const std::string deep = write_file("cli_pos_deep.pitl", nested_design(10000));
+  const auto check_deep = invoke({"check", deep});
+  const auto trial_deep = invoke({"trial", deep, "--input", "x=2"});
+  EXPECT_EQ(position_after(check_deep.out, "cli_pos_deep.pitl:"), "7:265");
+  EXPECT_EQ(position_after(trial_deep.err, " at "), "7:265") << trial_deep.err;
+
+  // An out-of-range index on file line 8: both point at the index.
+  const std::string index = routine_file(
+      "cli_pos_index.pitl", "    v := [1, 2]\n    y := x + v[2]\n");
+  const auto check_index = invoke({"check", index});
+  const auto trial_index = invoke({"trial", index, "--input", "x=2"});
+  EXPECT_NE(check_index.out.find("error[BAN105]"), std::string::npos)
+      << check_index.out;
+  EXPECT_EQ(position_after(check_index.out, "cli_pos_index.pitl:"), "8:16");
+  EXPECT_EQ(position_after(trial_index.err, " at "), "8:16")
+      << trial_index.err;
+
+  // A division by zero on file line 8: BAN104 points at the divisor,
+  // the run at the operator, both on the file's line.
+  const std::string div =
+      routine_file("cli_pos_div.pitl", "    z := 0\n    y := x / z\n");
+  const auto check_div = invoke({"check", div});
+  const auto trial_div = invoke({"trial", div, "--input", "x=2"});
+  EXPECT_NE(check_div.out.find("error[BAN104]"), std::string::npos)
+      << check_div.out;
+  EXPECT_EQ(position_after(check_div.out, "cli_pos_div.pitl:"), "8:14");
+  EXPECT_EQ(position_after(trial_div.err, " at "), "8:12") << trial_div.err;
+}
+
 TEST_F(CliFiles, NonFiniteMachineNumberIsAMachineError) {
   // A NaN startup reaching the scheduler trips its internal assertion
   // (`winner != nullptr`); the machine parser must refuse it first.

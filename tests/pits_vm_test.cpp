@@ -136,6 +136,15 @@ TEST(PitsVmDifferential, CoreSemantics) {
       "repeat 0 - 1 times\n  x := 1\nend\n",
       // return stops the routine mid-way.
       "x := 1\nif x > 0 then\n  return\nend\nx := 99\n",
+      // NaN (inf - inf) orders as equal in every compare form: constant
+      // operand, two registers, fused compare-and-branch.
+      "n := 1e308 * 10 - 1e308 * 10\nprint(n <= 0)\nprint(n >= 0)\n"
+      "print(n < 0)\nprint(n > 0)\nprint(0 <= n)\nprint(0 >= n)\n",
+      "n := 1e308 * 10 - 1e308 * 10\nz := 0\na := n <= z\nb := n >= z\n"
+      "c := z <= n\nd := z >= n\n",
+      "n := 1e308 * 10 - 1e308 * 10\nz := 0\nif n <= 0 then\n  a := 1\nend\n"
+      "if n >= 0 then\n  b := 1\nend\nif n <= z then\n  c := 1\nend\n"
+      "if z >= n then\n  d := 1\nend\n",
   };
   for (const char* src : cases) expect_identical(src);
 }
@@ -227,11 +236,12 @@ class DiffGen {
  private:
   std::string scalar_expr(int depth) {
     if (depth <= 0 || rng_.chance(0.25)) {
-      switch (rng_.next_below(5)) {
+      switch (rng_.next_below(6)) {
         case 0: return std::to_string(rng_.uniform_int(1, 9));
         case 1: return "v" + std::to_string(rng_.next_below(4));
         case 2: return "w[" + std::to_string(rng_.next_below(4)) + "]";
         case 3: return "pi";
+        case 4: return "(1e308 * 10 - 1e308 * 10)";  // NaN
         default: return "rand()";
       }
     }
@@ -279,8 +289,9 @@ class DiffGen {
         std::string body;
         const int n = 1 + static_cast<int>(rng_.next_below(2));
         for (int i = 0; i < n; ++i) body += "  " + statement(depth - 1);
-        return "if " + scalar_expr(1) + " > " + scalar_expr(1) + " then\n" +
-               body + "end\n";
+        static const char* const kOrder[] = {" > ", " <= ", " >= ", " < "};
+        return "if " + scalar_expr(1) + kOrder[rng_.next_below(4)] +
+               scalar_expr(1) + " then\n" + body + "end\n";
       }
       case 4: {
         std::string body = "  " + statement(depth - 1);
