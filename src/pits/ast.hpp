@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -122,6 +123,53 @@ struct Stmt {
                FormulaDef, ExprStmt>
       node;
 };
+
+/// Calls `fn` on every statement of `block`, nested blocks included, in
+/// source order.
+template <typename Fn>
+void for_each_stmt(const Block& block, const Fn& fn) {
+  for (const StmtPtr& sp : block) {
+    fn(*sp);
+    std::visit(
+        [&](const auto& node) {
+          using T = std::decay_t<decltype(node)>;
+          if constexpr (std::is_same_v<T, IfStmt>) {
+            for (const IfStmt::Arm& arm : node.arms) for_each_stmt(arm.body, fn);
+            for_each_stmt(node.else_body, fn);
+          } else if constexpr (std::is_same_v<T, WhileStmt> ||
+                               std::is_same_v<T, RepeatStmt> ||
+                               std::is_same_v<T, ForStmt>) {
+            for_each_stmt(node.body, fn);
+          }
+        },
+        sp->node);
+  }
+}
+
+/// Calls `fn` on `e` and then on each of its subexpressions, left to
+/// right (so variable reads come in source order).
+template <typename Fn>
+void for_each_expr(const Expr& e, const Fn& fn) {
+  fn(e);
+  std::visit(
+      [&](const auto& node) {
+        using T = std::decay_t<decltype(node)>;
+        if constexpr (std::is_same_v<T, VectorLit>) {
+          for (const ExprPtr& el : node.elements) for_each_expr(*el, fn);
+        } else if constexpr (std::is_same_v<T, Unary>) {
+          for_each_expr(*node.operand, fn);
+        } else if constexpr (std::is_same_v<T, Binary>) {
+          for_each_expr(*node.lhs, fn);
+          for_each_expr(*node.rhs, fn);
+        } else if constexpr (std::is_same_v<T, Index>) {
+          for_each_expr(*node.base, fn);
+          for_each_expr(*node.index, fn);
+        } else if constexpr (std::is_same_v<T, Call>) {
+          for (const ExprPtr& a : node.args) for_each_expr(*a, fn);
+        }
+      },
+      e.node);
+}
 
 /// Deepest nesting a routine may reach: enclosing blocks plus levels of
 /// expression (parentheses, operands, call arguments, indices). Every

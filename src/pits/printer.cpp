@@ -161,26 +161,9 @@ struct VarWalk {
   }
 
   void walk_expr(const Expr& e) {
-    std::visit(
-        [&](const auto& node) {
-          using T = std::decay_t<decltype(node)>;
-          if constexpr (std::is_same_v<T, VarRef>) {
-            read(node.name);
-          } else if constexpr (std::is_same_v<T, VectorLit>) {
-            for (const auto& el : node.elements) walk_expr(*el);
-          } else if constexpr (std::is_same_v<T, Unary>) {
-            walk_expr(*node.operand);
-          } else if constexpr (std::is_same_v<T, Binary>) {
-            walk_expr(*node.lhs);
-            walk_expr(*node.rhs);
-          } else if constexpr (std::is_same_v<T, Index>) {
-            walk_expr(*node.base);
-            walk_expr(*node.index);
-          } else if constexpr (std::is_same_v<T, Call>) {
-            for (const auto& a : node.args) walk_expr(*a);
-          }
-        },
-        e.node);
+    for_each_expr(e, [&](const Expr& x) {
+      if (const auto* ref = std::get_if<VarRef>(&x.node)) read(ref->name);
+    });
   }
 
   void walk_block(const Block& block) {
