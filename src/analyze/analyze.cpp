@@ -1,9 +1,11 @@
 #include "analyze/analyze.hpp"
 
+#include <algorithm>
 #include <memory>
 
 #include "analyze/absint.hpp"
 #include "obs/trace.hpp"
+#include "pits/builtins.hpp"
 #include "pits/interp.hpp"
 #include "util/generational_cache.hpp"
 #include "util/strings.hpp"
@@ -67,11 +69,19 @@ std::shared_ptr<const RoutineFacts> analyse_routine(const graph::Task& task,
     program = pits::Program::parse(task.pits);
   } catch (const Error& e) {
     facts->interface.parses = false;
-    facts->interface.parse_error = e.what();
+    facts->interface.parse_error = e.message();
     facts->interface.parse_error_pos = e.pos();
     return facts;  // BAN003 (interface layer); no routine layer runs
   }
-  facts->interface.reads = program.inputs();
+  // Program::inputs() drops every constant name, but a declared input
+  // shadows the constant it is named after, so its reads count.
+  for (std::string& name : pits::free_variables(program.body())) {
+    if (!pits::constants().contains(name) ||
+        std::find(task.inputs.begin(), task.inputs.end(), name) !=
+            task.inputs.end()) {
+      facts->interface.reads.push_back(std::move(name));
+    }
+  }
   facts->interface.writes = program.outputs();
   if (pits) {
     RoutineContext ctx;

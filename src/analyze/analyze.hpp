@@ -85,9 +85,10 @@ struct RoutineContext {
 /// variables it reads and writes, or why it does not parse.
 struct RoutineInterface {
   bool parses = true;
-  std::string parse_error;   ///< Error::what() of the parse failure
+  std::string parse_error;   ///< Error::message() of the parse failure
   SourcePos parse_error_pos; ///< routine-relative
-  std::vector<std::string> reads;   ///< pits::Program::inputs()
+  /// Free variables; a constant's name only when it is a declared input.
+  std::vector<std::string> reads;
   std::vector<std::string> writes;  ///< pits::Program::outputs()
 };
 

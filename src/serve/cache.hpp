@@ -2,8 +2,8 @@
 //
 // Content-hashed artifact cache. Generalizes the `call_once` compiled-
 // Program cache in the PITS VM: any derived artifact (parsed graph,
-// machine, schedule, rendered response, ...) is keyed by the FNV-1a
-// hash of the bytes that produced it, built exactly once even under
+// machine, schedule, rendered response, ...) is keyed by a 64-bit
+// util::digest64 of what produced it, built exactly once even under
 // concurrent lookups (single-flight via shared_future), and evicted in
 // least-recently-used order once the entry cap is exceeded.
 //
@@ -28,7 +28,9 @@ namespace banger::serve {
 /// Key for a cached artifact: the artifact kind (e.g. "graph",
 /// "response") plus the content hash of everything the build depends
 /// on. Mixing the kind into the map key keeps identical payloads with
-/// different derivations (a graph vs. its schedule) distinct.
+/// different derivations (a graph vs. its schedule) distinct. Lookups
+/// compare only these two fields, so the hash must not collide across
+/// the payloads a server sees.
 struct CacheKey {
   std::string kind;
   std::uint64_t hash = 0;

@@ -1,7 +1,10 @@
 #include "serve/json.hpp"
 
+#include <bit>
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 
 #include "obs/trace.hpp"
@@ -10,6 +13,39 @@
 namespace banger::serve {
 
 namespace {
+
+/// Length of the run of plain string bytes at the front of `s`: bytes a
+/// string copies unchanged, so anything but `"`, `\` and the control
+/// bytes below 0x20. Tests eight bytes per step (SWAR): a byte of
+/// `w ^ (ones * c)` is zero where `w` holds `c`, and `(x - ones * n) &
+/// ~x & highs` flags the bytes of `x` below `n` (n <= 0x80). A borrow
+/// can only flag bytes above the first true match, so the lowest flag is
+/// exact. A plain run never holds a newline.
+std::size_t plain_run(std::string_view s) noexcept {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+  constexpr std::uint64_t kHighs = 0x8080808080808080ull;
+  std::size_t i = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; i + 8 <= s.size(); i += 8) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, s.data() + i, sizeof w);
+      const std::uint64_t quote = w ^ (kOnes * '"');
+      const std::uint64_t slash = w ^ (kOnes * '\\');
+      const std::uint64_t stop = (((quote - kOnes) & ~quote) |
+                                  ((slash - kOnes) & ~slash) |
+                                  ((w - kOnes * 0x20) & ~w)) &
+                                 kHighs;
+      if (stop != 0) {
+        return i + static_cast<std::size_t>(std::countr_zero(stop) / 8);
+      }
+    }
+  }
+  for (; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c == '"' || c == '\\' || c < 0x20) break;
+  }
+  return i;
+}
 
 // Recursive-descent parser with line/column tracking so malformed
 // requests report a position, matching the PITL parser's diagnostics.
@@ -63,8 +99,18 @@ class Parser {
     if (at_end()) fail("unexpected end of input");
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Bounds the recursion here and in the Json destructor. A
+        // failed parse is abandoned, so only a finished level unwinds.
+        if (++depth_ > kMaxNesting) {
+          fail("nesting is deeper than " + std::to_string(kMaxNesting) +
+               " levels");
+        }
+        Json value = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': return Json::string(parse_string());
       case 't': parse_literal("true"); return Json::boolean(true);
       case 'f': parse_literal("false"); return Json::boolean(false);
@@ -112,16 +158,17 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      const std::size_t run = plain_run(text_.substr(pos_));
+      out.append(text_, pos_, run);
+      pos_ += run;
+      column_ += static_cast<int>(run);
       if (at_end()) fail("unterminated string");
       const char c = next();
       if (c == '"') return out;
       if (static_cast<unsigned char>(c) < 0x20) {
         fail("control character in string");
       }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      // What is left after a plain run is the backslash of an escape.
       if (at_end()) fail("unterminated escape");
       const char esc = next();
       switch (esc) {
@@ -212,6 +259,7 @@ class Parser {
   std::size_t pos_ = 0;
   int line_ = 1;
   int column_ = 1;
+  int depth_ = 0;
 };
 
 void dump_to(const Json& v, std::ostream& out) {

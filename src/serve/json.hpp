@@ -15,6 +15,11 @@
 
 namespace banger::serve {
 
+/// Deepest array/object nesting a request may carry; Json::parse
+/// rejects deeper text with a positioned Error{Parse}, so a hostile line
+/// cannot exhaust the stack of the parser or of the destructor.
+inline constexpr int kMaxNesting = 256;
+
 class Json {
  public:
   enum class Kind : unsigned char { Null, Bool, Number, String, Array, Object };
@@ -56,7 +61,8 @@ class Json {
   [[nodiscard]] std::string dump() const;
 
   /// Parses a complete JSON document (trailing junk rejected). Throws
-  /// Error{Parse} with a 1-based line/column position on malformed text.
+  /// Error{Parse} with a 1-based line/column position on malformed text
+  /// or nesting deeper than kMaxNesting.
   static Json parse(std::string_view text);
 
  private:

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <cstdio>
-#include <initializer_list>
 #include <istream>
 #include <map>
 #include <mutex>
@@ -31,18 +30,40 @@ struct DesignArtifact {
   graph::FlattenResult flat;
 };
 
-// Unit separator: cannot appear in JSON string payloads' semantics, so
-// joined cache keys never collide across field boundaries.
-constexpr char kSep = '\x1f';
+/// The bytes a composite cache key is hashed from: payload digests and
+/// the request's small fields, never a payload itself. Every field is
+/// length-prefixed, so two different field lists never share bytes.
+class KeyBytes {
+ public:
+  explicit KeyBytes(std::string_view what) { field(what); }
 
-std::string join_key(std::initializer_list<std::string_view> parts) {
-  std::string key;
-  for (const auto part : parts) {
-    key += part;
-    key += kSep;
+  KeyBytes& digest(std::uint64_t value) {
+    bytes_.append(reinterpret_cast<const char*>(&value), sizeof value);
+    return *this;
   }
-  return key;
-}
+  KeyBytes& field(std::string_view text) {
+    digest(text.size());
+    bytes_ += text;
+    return *this;
+  }
+  /// One VAR -> EXPR binding object (`inputs`, or one trial or batch).
+  KeyBytes& inputs(const std::map<std::string, std::string>& bindings) {
+    digest(bindings.size());
+    for (const auto& [var, expr] : bindings) field(var).field(expr);
+    return *this;
+  }
+  KeyBytes& inputs(
+      const std::vector<std::map<std::string, std::string>>& list) {
+    digest(list.size());
+    for (const auto& bindings : list) inputs(bindings);
+    return *this;
+  }
+
+  [[nodiscard]] std::uint64_t hash() const { return util::digest64(bytes_); }
+
+ private:
+  std::string bytes_;
+};
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -52,8 +73,8 @@ std::string hex64(std::uint64_t v) {
 }
 
 std::shared_ptr<const DesignArtifact> design_artifact(
-    ArtifactCache& cache, const std::string& text) {
-  const CacheKey key{"design", util::fnv1a64(text)};
+    ArtifactCache& cache, std::string_view text, std::uint64_t digest) {
+  const CacheKey key{"design", digest};
   return cache.get_or_build<DesignArtifact>(key, [&] {
     graph::Design design = graph::parse_design(text);
     design.validate();
@@ -64,8 +85,8 @@ std::shared_ptr<const DesignArtifact> design_artifact(
 }
 
 std::shared_ptr<const machine::Machine> machine_artifact(
-    ArtifactCache& cache, const std::string& text) {
-  const CacheKey key{"machine", util::fnv1a64(text)};
+    ArtifactCache& cache, std::string_view text, std::uint64_t digest) {
+  const CacheKey key{"machine", digest};
   return cache.get_or_build<machine::Machine>(key, [&] {
     return std::make_shared<const machine::Machine>(
         machine::parse_machine(text));
@@ -73,12 +94,14 @@ std::shared_ptr<const machine::Machine> machine_artifact(
 }
 
 std::shared_ptr<const sched::Schedule> schedule_artifact(
-    ArtifactCache& cache, const std::string& design_text,
-    const std::string& machine_text, const std::string& heuristic,
+    ArtifactCache& cache, std::uint64_t design_digest,
+    std::uint64_t machine_digest, const std::string& heuristic,
     const DesignArtifact& design, const machine::Machine& machine) {
-  const CacheKey key{
-      "schedule",
-      util::fnv1a64(join_key({design_text, machine_text, heuristic}))};
+  const CacheKey key{"schedule", KeyBytes("schedule")
+                                     .digest(design_digest)
+                                     .digest(machine_digest)
+                                     .field(heuristic)
+                                     .hash()};
   return cache.get_or_build<sched::Schedule>(key, [&] {
     const auto scheduler = sched::make_scheduler(heuristic);
     sched::Schedule schedule = scheduler->run(design.flat.graph, machine);
@@ -113,42 +136,40 @@ bool Server::try_acquire_slot() {
 
 void Server::release_slot() { inflight_.fetch_sub(1); }
 
-std::string Server::resolve(const Request& req, bool want_machine) const {
-  if (want_machine) {
-    if (!req.machine.empty()) return req.machine;
-    if (!req.machine_ref.empty()) {
-      return sessions_.get(req.machine_ref, "machine").text;
-    }
-    fail(ErrorCode::Usage,
-         "op `" + req.op + "` needs `machine` text or a `machine_ref`");
+Server::Payload Server::resolve(const Request& req,
+                                bool want_machine) const {
+  const std::string& text = want_machine ? req.machine : req.design;
+  const std::string& ref = want_machine ? req.machine_ref : req.design_ref;
+  const char* kind = want_machine ? "machine" : "design";
+  if (!text.empty()) return Payload{text, util::digest64(text), nullptr};
+  if (!ref.empty()) {
+    auto entry = sessions_.get(ref, kind);
+    return Payload{entry->text, entry->digest, std::move(entry)};
   }
-  if (!req.design.empty()) return req.design;
-  if (!req.design_ref.empty()) {
-    return sessions_.get(req.design_ref, "design").text;
-  }
-  fail(ErrorCode::Usage,
-       "op `" + req.op + "` needs `design` text or a `design_ref`");
+  fail(ErrorCode::Usage, "op `" + req.op + "` needs `" + kind +
+                             "` text or a `" + kind + "_ref`");
 }
 
 Server::Rendered Server::respond(const Request& req) {
   if (req.op == "schedule") {
-    const std::string design_text = resolve(req, false);
-    const std::string machine_text = resolve(req, true);
+    const Payload d = resolve(req, false);
+    const Payload m = resolve(req, true);
     const std::string format = req.format.empty() ? "gantt" : req.format;
     if (format != "gantt" && format != "table" && format != "svg" &&
         format != "trace") {
       fail(ErrorCode::Usage, "unknown schedule format `" + format + "`");
     }
-    const CacheKey key{
-        "response", util::fnv1a64(join_key({"schedule", design_text,
-                                            machine_text, req.scheduler,
-                                            format}))};
+    const CacheKey key{"response", KeyBytes("schedule")
+                                       .digest(d.digest)
+                                       .digest(m.digest)
+                                       .field(req.scheduler)
+                                       .field(format)
+                                       .hash()};
     const auto rendered = cache_.get_or_build<Rendered>(key, [&] {
-      const auto design = design_artifact(cache_, design_text);
-      const auto machine = machine_artifact(cache_, machine_text);
-      const auto schedule =
-          schedule_artifact(cache_, design_text, machine_text, req.scheduler,
-                            *design, *machine);
+      const auto design = design_artifact(cache_, d.text, d.digest);
+      const auto machine = machine_artifact(cache_, m.text, m.digest);
+      const auto schedule = schedule_artifact(
+          cache_, d.digest, m.digest, req.scheduler, *design, *machine);
       const ScheduleRender r =
           render_schedule(*schedule, design->flat.graph, *machine, format);
       return std::make_shared<const Rendered>(
@@ -162,7 +183,7 @@ Server::Rendered Server::respond(const Request& req) {
       fail(ErrorCode::Usage,
            "op `trial` runs sequentially; it does not take a machine");
     }
-    const std::string design_text = resolve(req, false);
+    const Payload d = resolve(req, false);
     const auto engine_of = [&req] {
       exec::RunOptions run_opts;
       if (req.engine == "vm") {
@@ -175,22 +196,13 @@ Server::Rendered Server::respond(const Request& req) {
     if (req.has_inputs_batch) {
       // Batch envelope: the whole batch is one request — one admission
       // slot, one cache entry keyed over every trial's inputs in order.
-      std::string inputs_key;
-      for (const auto& trial : req.inputs_batch) {
-        for (const auto& [var, expr] : trial) {
-          inputs_key += var;
-          inputs_key += '=';
-          inputs_key += expr;
-          inputs_key += kSep;
-        }
-        inputs_key += kSep;  // trial boundary
-      }
-      const CacheKey key{
-          "response",
-          util::fnv1a64(join_key({"trial_batch", design_text, req.engine}) +
-                        inputs_key)};
+      const CacheKey key{"response", KeyBytes("trial_batch")
+                                         .digest(d.digest)
+                                         .field(req.engine)
+                                         .inputs(req.inputs_batch)
+                                         .hash()};
       const auto rendered = cache_.get_or_build<Rendered>(key, [&] {
-        const auto design = design_artifact(cache_, design_text);
+        const auto design = design_artifact(cache_, d.text, d.digest);
         std::vector<std::map<std::string, pits::Value>> inputs;
         inputs.reserve(req.inputs_batch.size());
         for (const auto& trial : req.inputs_batch) {
@@ -209,19 +221,13 @@ Server::Rendered Server::respond(const Request& req) {
       });
       return *rendered;
     }
-    std::string inputs_key;
-    for (const auto& [var, expr] : req.inputs) {
-      inputs_key += var;
-      inputs_key += '=';
-      inputs_key += expr;
-      inputs_key += kSep;
-    }
-    const CacheKey key{
-        "response",
-        util::fnv1a64(join_key({"trial", design_text, req.engine}) +
-                      inputs_key)};
+    const CacheKey key{"response", KeyBytes("trial")
+                                       .digest(d.digest)
+                                       .field(req.engine)
+                                       .inputs(req.inputs)
+                                       .hash()};
     const auto rendered = cache_.get_or_build<Rendered>(key, [&] {
-      const auto design = design_artifact(cache_, design_text);
+      const auto design = design_artifact(cache_, d.text, d.digest);
       std::map<std::string, pits::Value> inputs;
       for (const auto& [var, expr] : req.inputs) {
         inputs[var] = pits::eval_expression(expr, {});
@@ -239,29 +245,20 @@ Server::Rendered Server::respond(const Request& req) {
       fail(ErrorCode::Usage,
            "op `stream` needs an `inputs_stream` array of batches");
     }
-    const std::string design_text = resolve(req, false);
-    const std::string machine_text = resolve(req, true);
-    std::string inputs_key;
-    for (const auto& batch : req.inputs_stream) {
-      for (const auto& [var, expr] : batch) {
-        inputs_key += var;
-        inputs_key += '=';
-        inputs_key += expr;
-        inputs_key += kSep;
-      }
-      inputs_key += kSep;  // batch boundary
-    }
-    const CacheKey key{
-        "response",
-        util::fnv1a64(join_key({"stream", design_text, machine_text,
-                                req.scheduler, req.engine}) +
-                      inputs_key)};
+    const Payload d = resolve(req, false);
+    const Payload m = resolve(req, true);
+    const CacheKey key{"response", KeyBytes("stream")
+                                       .digest(d.digest)
+                                       .digest(m.digest)
+                                       .field(req.scheduler)
+                                       .field(req.engine)
+                                       .inputs(req.inputs_stream)
+                                       .hash()};
     const auto rendered = cache_.get_or_build<Rendered>(key, [&] {
-      const auto design = design_artifact(cache_, design_text);
-      const auto machine = machine_artifact(cache_, machine_text);
-      const auto schedule =
-          schedule_artifact(cache_, design_text, machine_text, req.scheduler,
-                            *design, *machine);
+      const auto design = design_artifact(cache_, d.text, d.digest);
+      const auto machine = machine_artifact(cache_, m.text, m.digest);
+      const auto schedule = schedule_artifact(
+          cache_, d.digest, m.digest, req.scheduler, *design, *machine);
       std::vector<std::map<std::string, pits::Value>> batches;
       batches.reserve(req.inputs_stream.size());
       for (const auto& batch : req.inputs_stream) {
@@ -291,7 +288,7 @@ Server::Rendered Server::respond(const Request& req) {
   }
 
   if (req.op == "check") {
-    const std::string design_text = resolve(req, false);
+    const Payload d = resolve(req, false);
     const std::string format = req.format.empty() ? "text" : req.format;
     if (format != "text" && format != "json" && format != "sarif") {
       fail(ErrorCode::Usage, "unknown check format `" + format + "`");
@@ -300,11 +297,14 @@ Server::Rendered Server::respond(const Request& req) {
         !req.file.empty() ? req.file
         : !req.design_ref.empty() ? req.design_ref
                                   : std::string("<design>");
-    const CacheKey key{
-        "response", util::fnv1a64(join_key(
-                        {"check", design_text, format, req.fail_on, file}))};
+    const CacheKey key{"response", KeyBytes("check")
+                                       .digest(d.digest)
+                                       .field(format)
+                                       .field(req.fail_on)
+                                       .field(file)
+                                       .hash()};
     const auto rendered = cache_.get_or_build<Rendered>(key, [&] {
-      const auto design = design_artifact(cache_, design_text);
+      const auto design = design_artifact(cache_, d.text, d.digest);
       const CheckRender r =
           render_check(design->design, format, req.fail_on, file);
       return std::make_shared<const Rendered>(Rendered{
@@ -315,16 +315,17 @@ Server::Rendered Server::respond(const Request& req) {
   }
 
   if (req.op == "trace") {
-    const std::string design_text = resolve(req, false);
-    const std::string machine_text = resolve(req, true);
-    const CacheKey key{
-        "response",
-        util::fnv1a64(join_key({"trace", design_text, machine_text,
-                                req.scheduler,
-                                req.contention ? "1" : "0"}))};
+    const Payload d = resolve(req, false);
+    const Payload m = resolve(req, true);
+    const CacheKey key{"response", KeyBytes("trace")
+                                       .digest(d.digest)
+                                       .digest(m.digest)
+                                       .field(req.scheduler)
+                                       .field(req.contention ? "1" : "0")
+                                       .hash()};
     const auto rendered = cache_.get_or_build<Rendered>(key, [&] {
-      const auto design = design_artifact(cache_, design_text);
-      const auto machine = machine_artifact(cache_, machine_text);
+      const auto design = design_artifact(cache_, d.text, d.digest);
+      const auto machine = machine_artifact(cache_, m.text, m.digest);
       sim::SimOptions sim_opts;
       sim_opts.link_contention = req.contention;
       // A private recorder inside render_trace keeps the artifact free
@@ -371,12 +372,14 @@ Json Server::dispatch(const Request& req) {
     }
     // Validate (and warm the cache) before storing: a payload that does
     // not parse must never become referenceable.
+    const std::uint64_t digest = util::digest64(req.text);
     if (req.kind == "design") {
-      design_artifact(cache_, req.text);
+      design_artifact(cache_, req.text, digest);
     } else {
-      machine_artifact(cache_, req.text);
+      machine_artifact(cache_, req.text, digest);
     }
-    const std::uint64_t hash = sessions_.put(req.name, req.kind, req.text);
+    const std::uint64_t hash =
+        sessions_.put(req.name, req.kind, req.text, digest);
     Json r = ok_envelope(req.id, req.op, 0);
     r.add("name", Json::string(req.name));
     r.add("kind", Json::string(req.kind));
@@ -424,11 +427,26 @@ Json Server::dispatch(const Request& req) {
   return r;
 }
 
+Server::ParsedLine Server::parse_line(const std::string& line) {
+  ParsedLine parsed;
+  try {
+    parsed.doc = Json::parse(line);
+  } catch (...) {
+    parsed.error = std::current_exception();
+  }
+  return parsed;
+}
+
 std::string Server::handle_line(const std::string& line) {
   return handle_line(line, now());
 }
 
 std::string Server::handle_line(const std::string& line, double arrival) {
+  return handle_parsed(parse_line(line), arrival);
+}
+
+std::string Server::handle_parsed(const ParsedLine& parsed,
+                                  double arrival) {
   // Handlers may run on pool workers or foreign threads; make the
   // service recorder ambient so every instrumented layer underneath
   // (scheduler, executor, cache) lands its counters here.
@@ -436,8 +454,8 @@ std::string Server::handle_line(const std::string& line, double arrival) {
   Json id;
   std::string op;
   try {
-    const Json doc = Json::parse(line);
-    const Request req = parse_request(doc);
+    if (parsed.error) std::rethrow_exception(parsed.error);
+    const Request req = parse_request(parsed.doc);
     id = req.id;
     op = req.op;
     rec_->bump("serve.requests");
@@ -500,22 +518,22 @@ int Server::serve_stream(std::istream& in, std::ostream& out) {
     if (line.empty()) continue;
     const std::uint64_t s = seq++;
 
-    // Best-effort sniff of id/op so overload shedding and shutdown can
-    // answer without occupying a worker; malformed lines still go to a
-    // worker for the full diagnostic envelope.
+    // Parse once, here: id/op let overload shedding and shutdown answer
+    // without occupying a worker, and the worker gets the document. A
+    // malformed line still goes to a worker for its diagnostic envelope.
+    ParsedLine parsed = parse_line(line);
     Json id;
     std::string op;
-    try {
-      const Json doc = Json::parse(line);
-      if (const Json* found = doc.find("op"); found && found->is_string()) {
+    if (!parsed.error) {
+      if (const Json* found = parsed.doc.find("op");
+          found && found->is_string()) {
         op = found->as_string();
       }
-      if (const Json* found = doc.find("id")) id = *found;
-    } catch (const Error&) {
+      if (const Json* found = parsed.doc.find("id")) id = *found;
     }
 
     if (op == "shutdown") {
-      emit(s, handle_line(line));
+      emit(s, handle_parsed(parsed, now()));
       stop = true;
       continue;
     }
@@ -525,7 +543,7 @@ int Server::serve_stream(std::istream& in, std::ostream& out) {
       // `design_ref` right behind its upload can start first and be
       // refused.
       pool.wait_idle();
-      emit(s, handle_line(line));
+      emit(s, handle_parsed(parsed, now()));
       continue;
     }
 
@@ -542,8 +560,10 @@ int Server::serve_stream(std::istream& in, std::ostream& out) {
     }
 
     const double arrival = now();
-    pool.submit([this, s, line, arrival, &emit] {
-      std::string response = handle_line(line, arrival);
+    pool.submit([this, s, arrival, &emit,
+                 parsed = std::make_shared<const ParsedLine>(
+                     std::move(parsed))] {
+      std::string response = handle_parsed(*parsed, arrival);
       release_slot();
       emit(s, std::move(response));
     });
@@ -564,10 +584,15 @@ int Server::serve_tcp(int port, std::ostream& log) {
     const int fd = util::tcp_accept(listen_fd, /*timeout_ms=*/100);
     if (fd < 0) continue;  // timeout: re-check the shutdown flag
     connections.emplace_back([this, fd] {
-      util::FdStreamBuf buf(fd);
-      std::iostream io(&buf);
-      serve_stream(io, io);
-      io.flush();
+      // One buffer per direction: the reader thread's underflow flushes
+      // its own buffer's put area, so it never races a worker writing a
+      // response (those writes are serialised by serve_stream).
+      util::FdStreamBuf in_buf(fd);
+      util::FdStreamBuf out_buf(fd);
+      std::istream in(&in_buf);
+      std::ostream out(&out_buf);
+      serve_stream(in, out);
+      out.flush();
       util::close_fd(fd);
     });
   }

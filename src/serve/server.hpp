@@ -17,11 +17,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "obs/trace.hpp"
 #include "serve/cache.hpp"
@@ -105,9 +107,27 @@ class Server {
     std::size_t notes = 0;
   };
 
+  /// A design or machine text with its util::digest64, taken once per
+  /// request (inline) or at upload (by reference). `entry` keeps an
+  /// uploaded text alive while `text` points into it.
+  struct Payload {
+    std::string_view text;
+    std::uint64_t digest = 0;
+    std::shared_ptr<const SessionEntry> entry;
+  };
+
+  /// A request line after Json::parse: the document, or what the parse
+  /// threw, which the error envelope then reports.
+  struct ParsedLine {
+    Json doc;
+    std::exception_ptr error;
+  };
+
+  static ParsedLine parse_line(const std::string& line);
+  std::string handle_parsed(const ParsedLine& parsed, double arrival);
   Json dispatch(const Request& req);
   Rendered respond(const Request& req);
-  std::string resolve(const Request& req, bool machine) const;
+  Payload resolve(const Request& req, bool machine) const;
   double now() const { return clock_(); }
 
   ServeOptions options_;

@@ -1,10 +1,12 @@
 #include "util/strings.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 namespace banger::util {
 
@@ -117,6 +119,83 @@ std::string fnv1a64_hex(std::string_view s) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(fnv1a64(s)));
   return buf;
+}
+
+namespace {
+
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ull;
+
+/// Little-endian loads, whatever the host's byte order.
+template <typename U>
+std::uint64_t load_le(const unsigned char* p) noexcept {
+  U v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    U swapped = 0;
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      swapped = static_cast<U>((swapped << 8) | ((v >> (8 * i)) & 0xFF));
+    }
+    v = swapped;
+  }
+  return v;
+}
+std::uint64_t load64(const unsigned char* p) noexcept {
+  return load_le<std::uint64_t>(p);
+}
+std::uint64_t load32(const unsigned char* p) noexcept {
+  return load_le<std::uint32_t>(p);
+}
+
+std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t lane) noexcept {
+  return std::rotl(acc + lane * kP2, 31) * kP1;
+}
+
+std::uint64_t xxh_merge(std::uint64_t h, std::uint64_t acc) noexcept {
+  return (h ^ xxh_round(0, acc)) * kP1 + kP4;
+}
+
+}  // namespace
+
+std::uint64_t digest64(std::string_view s) noexcept {
+  const auto* p = reinterpret_cast<const unsigned char*>(s.data());
+  const unsigned char* const end = p + s.size();
+  std::uint64_t h = 0;
+  if (s.size() >= 32) {
+    std::uint64_t v1 = kP1 + kP2;
+    std::uint64_t v2 = kP2;
+    std::uint64_t v3 = 0;
+    std::uint64_t v4 = 0 - kP1;
+    for (; end - p >= 32; p += 32) {
+      v1 = xxh_round(v1, load64(p));
+      v2 = xxh_round(v2, load64(p + 8));
+      v3 = xxh_round(v3, load64(p + 16));
+      v4 = xxh_round(v4, load64(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = xxh_merge(xxh_merge(xxh_merge(xxh_merge(h, v1), v2), v3), v4);
+  } else {
+    h = kP5;
+  }
+  h += s.size();
+  for (; end - p >= 8; p += 8) {
+    h = std::rotl(h ^ xxh_round(0, load64(p)), 27) * kP1 + kP4;
+  }
+  if (end - p >= 4) {
+    h = std::rotl(h ^ load32(p) * kP1, 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = std::rotl(h ^ *p * kP5, 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
 }
 
 bool parse_int64(std::string_view s, std::int64_t& out) noexcept {

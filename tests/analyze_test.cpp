@@ -116,6 +116,21 @@ TEST(InterfaceRules, Ban005UnreadInput) {
   EXPECT_TRUE(fires(diags, "BAN005"));
 }
 
+TEST(InterfaceRules, Ban005SeesReadsOfAnInputNamedAfterAConstant) {
+  // A declared input `pi` shadows the constant, so reading it is a read.
+  EXPECT_FALSE(fires(
+      check("design d\ngraph g\n  store pi\n  task t in=pi out=r\n"
+            "  pits {\n    r := pi * 2\n  }\n  store r\n"
+            "  arc pi -> t var=pi\n  arc t -> r var=r\n"),
+      "BAN005"));
+  // Undeclared, `pi` stays the constant: neither BAN004 nor BAN005.
+  const auto constant = check(
+      "design d\ngraph g\n  task t out=r\n  pits {\n    r := pi * 2\n"
+      "  }\n  store r\n  arc t -> r var=r\n");
+  EXPECT_FALSE(fires(constant, "BAN004"));
+  EXPECT_FALSE(fires(constant, "BAN005"));
+}
+
 TEST(InterfaceRules, Ban006UnassignedOutput) {
   const auto diags = check(
       "design d\ngraph g\n  task t out=r\n  pits {\n    x := 1\n  }\n"

@@ -502,6 +502,41 @@ TEST(CliHostile, DeeplyNestedPitsIsAParseErrorNotACrash) {
   EXPECT_NE(ran.out.find("y = 2"), std::string::npos) << ran.out;
 }
 
+TEST(CliHostile, Ban003NamesOnePosition) {
+  // The diagnostic carries the file position; the parse error's own,
+  // routine-relative one must not follow it into the message.
+  const std::string design =
+      write_file("cli_ban003.pitl", nested_design(10000));
+  const auto check = invoke({"check", design});
+  EXPECT_EQ(check.code, 1);
+  EXPECT_NE(check.out.find("cli_ban003.pitl:7:265: error[BAN003]: task `t`: "
+                           "PITS does not parse: nesting is deeper than 256 "
+                           "levels\n"),
+            std::string::npos)
+      << check.out;
+  EXPECT_EQ(check.out.find(" at 1:"), std::string::npos) << check.out;
+}
+
+TEST(CliHostile, ServeOnceAnswersDeeplyNestedJsonWithAnEnvelope) {
+  // 60,000 nested arrays in a ping (about 120 KB) overflowed the JSON
+  // parser's stack: exit 139 instead of an answer.
+  std::istringstream in(R"({"id":1,"op":"ping","x":)" +
+                        std::string(60000, '[') + std::string(60000, ']') +
+                        "}\n");
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(run({"serve", "--once"}, in, out, err), 0) << err.str();
+  const serve::Json resp = serve::Json::parse(out.str());
+  const serve::Json* ok = resp.find("ok");
+  ASSERT_NE(ok, nullptr) << out.str();
+  EXPECT_FALSE(ok->as_bool());
+  const serve::Json* error = resp.find("error");
+  ASSERT_NE(error, nullptr) << out.str();
+  EXPECT_EQ(error->find("code")->as_string(), "parse");
+  EXPECT_EQ(error->find("message")->as_string(),
+            "json: nesting is deeper than 256 levels");
+}
+
 /// The `line:col` right after the first `marker` in `text`, or "".
 std::string position_after(const std::string& text,
                            const std::string& marker) {

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "cli/cli.hpp"
@@ -22,7 +23,9 @@
 #include "serve/session.hpp"
 #include "util/error.hpp"
 #include "util/net.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
+#include "workloads/designs.hpp"
 #include "workloads/lu.hpp"
 
 namespace banger::serve {
@@ -90,7 +93,238 @@ TEST(ServeJson, UnicodeEscapes) {
   EXPECT_EQ(doc.as_string(), "tab\tandA");
 }
 
+/// A decoded string document: the unescaped string, or the error
+/// message and the position it is reported at.
+struct ScanResult {
+  bool ok = false;
+  std::string value;
+  std::string error;
+  SourcePos pos;
+};
+
+/// What Json::parse makes of `text` (leading blanks, one string
+/// literal, anything after it), decided one byte at a time exactly as
+/// the scanner did before it copied plain runs in bulk.
+ScanResult scan_one_byte_at_a_time(std::string_view text) {
+  std::size_t at = 0;
+  int line = 1;
+  int column = 1;
+  const auto at_end = [&] { return at >= text.size(); };
+  const auto next = [&] {
+    const char c = text[at++];
+    if (c == '\n') {
+      ++line;
+      column = 1;
+    } else {
+      ++column;
+    }
+    return c;
+  };
+  const auto skip_ws = [&] {
+    while (!at_end() && (text[at] == ' ' || text[at] == '\t' ||
+                         text[at] == '\n' || text[at] == '\r')) {
+      next();
+    }
+  };
+  const auto fail = [&](std::string what) {
+    return ScanResult{false, {}, "json: " + what, {line, column}};
+  };
+  skip_ws();
+  if (at_end() || text[at] != '"') return fail("expected '\"'");
+  next();
+  std::string out;
+  for (;;) {
+    if (at_end()) return fail("unterminated string");
+    const char c = next();
+    if (c == '"') break;
+    if (static_cast<unsigned char>(c) < 0x20) {
+      return fail("control character in string");
+    }
+    if (c != '\\') {
+      out += c;
+      continue;
+    }
+    if (at_end()) return fail("unterminated escape");
+    const char esc = next();
+    switch (esc) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          if (at_end()) return fail("unterminated \\u escape");
+          const char h = next();
+          code <<= 4;
+          if (h >= '0' && h <= '9') {
+            code |= static_cast<unsigned>(h - '0');
+          } else if (h >= 'a' && h <= 'f') {
+            code |= static_cast<unsigned>(h - 'a' + 10);
+          } else if (h >= 'A' && h <= 'F') {
+            code |= static_cast<unsigned>(h - 'A' + 10);
+          } else {
+            return fail("invalid \\u escape");
+          }
+        }
+        if (code < 0x80) {
+          out += static_cast<char>(code);
+        } else if (code < 0x800) {
+          out += static_cast<char>(0xC0 | (code >> 6));
+          out += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+          out += static_cast<char>(0xE0 | (code >> 12));
+          out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          out += static_cast<char>(0x80 | (code & 0x3F));
+        }
+        break;
+      }
+      default: return fail("invalid escape");
+    }
+  }
+  skip_ws();
+  if (!at_end()) return fail("trailing characters after JSON value");
+  return ScanResult{true, out, {}, {}};
+}
+
+/// Json::parse on the same text, in the same shape.
+ScanResult scan_with_parser(const std::string& text) {
+  try {
+    const Json doc = Json::parse(text);
+    return ScanResult{true, doc.as_string(), {}, {}};
+  } catch (const Error& e) {
+    return ScanResult{false, {}, e.message(), e.pos()};
+  }
+}
+
+void expect_same_scan(const std::string& text) {
+  const ScanResult want = scan_one_byte_at_a_time(text);
+  const ScanResult got = scan_with_parser(text);
+  ASSERT_EQ(got.ok, want.ok) << Json::string(text).dump() << ": "
+                             << got.error << want.error;
+  EXPECT_EQ(got.value, want.value) << Json::string(text).dump();
+  EXPECT_EQ(got.error, want.error) << Json::string(text).dump();
+  EXPECT_EQ(got.pos, want.pos)
+      << Json::string(text).dump() << ": at " << got.pos.line << ":"
+      << got.pos.column << ", want " << want.pos.line << ":"
+      << want.pos.column;
+}
+
+TEST(ServeJson, BulkStringScanMatchesOneByteAtATime) {
+  // Every byte that ends a plain run, and the plain bytes a word test
+  // could mistake for one (0x7f, and bytes >= 0x80 whose low seven bits
+  // are `"`, `\` or a control byte), at every offset mod 8 after a
+  // plain prefix and every start alignment.
+  std::vector<unsigned char> probes;
+  for (unsigned b = 0; b < 0x20; ++b) {
+    probes.push_back(static_cast<unsigned char>(b));
+  }
+  for (unsigned b : {0x22u, 0x5cu, 0x7fu, 0x80u, 0x81u, 0x9fu, 0xa2u, 0xdcu,
+                     0xe9u, 0xffu}) {
+    probes.push_back(static_cast<unsigned char>(b));
+  }
+  const std::string tail = "jklmnopqrstu\"";
+  for (const unsigned char probe : probes) {
+    for (std::size_t offset = 0; offset < 17; ++offset) {
+      for (std::size_t lead = 0; lead < 8; ++lead) {
+        std::string prefix(offset, 'x');
+        for (std::size_t i = 0; i < offset; ++i) {
+          prefix[i] = static_cast<char>('a' + (i % 9));
+        }
+        const std::string text = std::string(lead, lead % 3 == 1 ? '\n' : ' ') +
+                                 "\"" + prefix +
+                                 static_cast<char>(probe) + tail;
+        expect_same_scan(text);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+
+  // Seeded random documents: mostly plain bytes, so runs cross word
+  // boundaries, mixed with escapes (valid and not), raw control bytes,
+  // quotes and high bytes.
+  const std::vector<std::string> atoms = {
+      "\\n", "\\t", "\\\"", "\\\\", "\\/", "\\b", "\\u0041", "\\u00e9",
+      "\\u20AC", "\\x", "\\u12G4", "\\u00", "\\", "\"", "\n", "\t",
+      std::string(1, '\0'), "\x1f", "\x7f", "\x80", "\xc3\xa9", "\xff"};
+  util::Rng rng(20261020);
+  for (int doc = 0; doc < 4000; ++doc) {
+    std::string text(rng.next_below(3), ' ');
+    text += '"';
+    const std::size_t pieces = 1 + rng.next_below(40);
+    for (std::size_t i = 0; i < pieces; ++i) {
+      if (rng.next_below(6) == 0) {
+        text += atoms[rng.next_below(atoms.size())];
+      } else {
+        const std::size_t run = rng.next_below(20);
+        for (std::size_t k = 0; k < run; ++k) {
+          text += static_cast<char>(0x20 + rng.next_below(0x5f));
+        }
+      }
+    }
+    if (rng.next_below(8) != 0) text += '"';
+    expect_same_scan(text);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(ServeJson, NestingBeyondTheLimitIsAPositionedParseError) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(Json::parse(nested(kMaxNesting)));
+  try {
+    Json::parse("\n  " + nested(kMaxNesting + 1));
+    FAIL() << "expected Error{Parse}";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Parse);
+    EXPECT_EQ(e.message(), "json: nesting is deeper than 256 levels");
+    // At the bracket that opens level 257.
+    EXPECT_EQ(e.pos(), (SourcePos{2, 3 + kMaxNesting}));
+  }
+  // Objects count too, and so does the depth of a member.
+  std::string objects;
+  for (int i = 0; i <= kMaxNesting; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(kMaxNesting + 1, '}');
+  EXPECT_THROW(Json::parse(objects), Error);
+}
+
 // ------------------------------------------------------------- hashing
+
+TEST(ServeHash, Digest64IsXxh64) {
+  // Published XXH64 (seed 0) values: the empty input, the short-input
+  // tail paths, and a 39-byte input that takes one 32-byte stripe.
+  EXPECT_EQ(util::digest64(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(util::digest64("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(util::digest64("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(util::digest64("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ull);
+}
+
+TEST(ServeHash, Digest64SeparatesSingleCharacterEdits) {
+  // The response cache compares only (kind, hash), so one edited byte
+  // of a design must never land on the key of another. Every position
+  // of an 8x8 heat design, each changed four ways: over 100k edits.
+  std::string text = graph::to_pitl(workloads::heat_design(8, 8, 4));
+  std::unordered_set<std::uint64_t> seen{util::digest64(text)};
+  std::size_t edits = 0;
+  for (std::size_t at = 0; at < text.size(); ++at) {
+    const char original = text[at];
+    for (const char flip : {'\x01', '\x02', '\x20', '\x42'}) {
+      text[at] = static_cast<char>(original ^ flip);
+      seen.insert(util::digest64(text));
+      ++edits;
+    }
+    text[at] = original;
+  }
+  ASSERT_GE(edits, 100000u);
+  EXPECT_EQ(seen.size(), edits + 1) << "digest64 collided";
+}
 
 TEST(ServeHash, ContentHashIsStableAcrossRunsAndProcesses) {
   // Pinned FNV-1a 64 values: if these move, every cache key, session
@@ -189,8 +423,8 @@ TEST(ServeCache, FailedBuildIsNotCached) {
 
 TEST(ServeSession, MissingNameAndWrongKind) {
   SessionStore store;
-  store.put("lu", "design", "design text");
-  EXPECT_EQ(store.get("lu", "design").text, "design text");
+  store.put("lu", "design", "design text", util::digest64("design text"));
+  EXPECT_EQ(store.get("lu", "design")->text, "design text");
   try {
     (void)store.get("nope", "design");
     FAIL() << "expected Error{Name}";
@@ -248,6 +482,84 @@ TEST(ServeServer, MalformedLineGetsParseEnvelope) {
   EXPECT_FALSE(field(resp, "ok").as_bool());
   EXPECT_EQ(field(field(resp, "error"), "code").as_string(), "parse");
   EXPECT_TRUE(field(resp, "id").is_null());
+}
+
+/// A ping whose extra member nests `depth` arrays: about 120 KB at
+/// 60,000 levels, which overflowed the parser's stack before nesting was
+/// bounded.
+std::string hostile_ping(int depth) {
+  return R"({"id":7,"op":"ping","x":)" +
+         std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']') + "}";
+}
+
+TEST(ServeServer, HostileNestingGetsAnEnvelopeAndTheServerAnswersOn) {
+  Server server;
+  const Json resp = Json::parse(server.handle_line(hostile_ping(60000)));
+  EXPECT_FALSE(field(resp, "ok").as_bool());
+  EXPECT_TRUE(field(resp, "id").is_null()) << "the line did not parse";
+  const Json& error = field(resp, "error");
+  EXPECT_EQ(field(error, "code").as_string(), "parse");
+  EXPECT_EQ(field(error, "message").as_string(),
+            "json: nesting is deeper than 256 levels");
+  EXPECT_EQ(field(error, "line").as_number(), 1.0);
+  // `{"id":7,"op":"ping","x":` is 24 bytes; the object is level 1, so
+  // the 256th bracket opens level 257.
+  EXPECT_EQ(field(error, "column").as_number(), 24.0 + kMaxNesting);
+
+  const Json pong = Json::parse(server.handle_line(
+      request({{"id", Json::number(8)}, {"op", Json::string("ping")}})));
+  EXPECT_TRUE(field(pong, "ok").as_bool()) << pong.dump();
+  EXPECT_EQ(field(pong, "output").as_string(), "pong");
+}
+
+TEST(ServeServer, StreamParsesOnceAndKeepsMalformedLinesDiagnosed) {
+  ServeOptions opts;
+  opts.jobs = 2;
+  Server server(opts);
+  std::istringstream in(
+      request({{"id", Json::number(1)}, {"op", Json::string("ping")}}) +
+      "\n{nope\n" + hostile_ping(60000) + "\n" +
+      request({{"id", Json::number(4)}, {"op", Json::string("ping")}}) +
+      "\n");
+  std::ostringstream out;
+  server.serve_stream(in, out);
+  std::istringstream lines(out.str());
+  std::vector<Json> resp;
+  for (std::string line; std::getline(lines, line);) {
+    resp.push_back(Json::parse(line));
+  }
+  ASSERT_EQ(resp.size(), 4u) << out.str();
+  EXPECT_EQ(field(resp[0], "output").as_string(), "pong");
+  for (int i : {1, 2}) {
+    EXPECT_FALSE(field(resp[i], "ok").as_bool());
+    EXPECT_EQ(field(field(resp[i], "error"), "code").as_string(), "parse");
+  }
+  EXPECT_EQ(field(field(resp[1], "error"), "column").as_number(), 2.0);
+  EXPECT_EQ(field(field(resp[2], "error"), "message").as_string(),
+            "json: nesting is deeper than 256 levels");
+  EXPECT_EQ(field(resp[3], "id").as_number(), 4.0);
+  EXPECT_EQ(field(resp[3], "output").as_string(), "pong");
+}
+
+TEST(ServeServer, InlineTextSharesTheArtifactsOfItsUpload) {
+  // One digest per text whichever way it arrives: an inline request for
+  // an uploaded design misses only its own response, not the design.
+  Server server;
+  const Json up = Json::parse(server.handle_line(
+      request({{"op", Json::string("upload")},
+               {"name", Json::string("lu")},
+               {"kind", Json::string("design")},
+               {"text", Json::string(lu_design_text())}})));
+  ASSERT_TRUE(field(up, "ok").as_bool()) << up.dump();
+  const auto before = server.cache_stats();
+  const Json inline_resp = Json::parse(server.handle_line(
+      request({{"op", Json::string("check")},
+               {"design", Json::string(lu_design_text())}})));
+  ASSERT_TRUE(field(inline_resp, "ok").as_bool()) << inline_resp.dump();
+  const auto after = server.cache_stats();
+  EXPECT_EQ(after.misses - before.misses, 1u) << "only the response builds";
+  EXPECT_EQ(after.hits - before.hits, 1u) << "the uploaded design is reused";
 }
 
 TEST(ServeServer, CacheHitIsByteIdenticalToMiss) {

@@ -37,6 +37,7 @@ const char* const kHotBenchmarks[] = {
     "BM_ExecRunVm",
     "BM_ExecRunBatch/4096",
     "BM_ExecStream/1024",
+    "BM_ServeScheduleCached",
     "BM_ServeTrialCached",
     "BM_ServeTrialBatch",
     "BM_ScheduleEtf/4096",
