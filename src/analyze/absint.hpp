@@ -34,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "analyze/analyze.hpp"
+#include "analyze/diagnostic.hpp"
 #include "graph/design.hpp"
 #include "pits/ast.hpp"
 #include "pits/facts.hpp"
@@ -189,8 +189,20 @@ struct ShapeSummary {
 [[nodiscard]] pits::bc::AnalysisFacts compute_facts(const pits::Block& body);
 
 /// compute_facts + precompile in one call: the drop-in replacement for
-/// Program::precompile() used by the executor and the calculator panel.
+/// Program::precompile() used by the routine entry and the calculator
+/// panel.
 void precompile_optimized(const pits::Program& program);
+
+/// Context for analysing one PITS routine on its own. The routine
+/// layer reports positions relative to the routine and leaves the
+/// subject empty; analyze_design names the task and maps positions into
+/// the file (graph::routine_to_file) when it places its diagnostics.
+struct RoutineContext {
+  /// Declared inputs: defined before the routine starts.
+  std::vector<std::string> inputs;
+  /// Declared outputs: assignments to them are never dead.
+  std::vector<std::string> outputs;
+};
 
 /// The routine layer (BAN101-BAN108, BAN301-BAN305) over one routine,
 /// with declared inputs assumed bound. Appends to `sink` with

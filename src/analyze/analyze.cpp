@@ -3,47 +3,20 @@
 #include <algorithm>
 #include <memory>
 
-#include "analyze/absint.hpp"
 #include "obs/trace.hpp"
 #include "pits/builtins.hpp"
-#include "pits/interp.hpp"
-#include "util/generational_cache.hpp"
 #include "util/strings.hpp"
 
 namespace banger::analyze {
 
 namespace {
 
-/// Everything analyze_design derives from one routine alone. Positions
-/// are routine-relative and diagnostics carry no subject, so one entry
-/// serves every task — at any file position, under any name — whose
-/// routine, declared inputs and outputs match.
-struct RoutineFacts {
-  RoutineInterface interface;
-  /// Routine-layer diagnostics, in emission order.
-  std::vector<Diagnostic> diagnostics;
-  ShapeSummary shape;  ///< empty unless the routine layer ran
-};
-
-using RoutineMemo =
-    util::GenerationalCache<std::shared_ptr<const RoutineFacts>>;
-
-/// Process-wide, shared by every thread that checks designs (serve runs
-/// `check` on pool threads). The cap is per generation, as for
-/// exec::ProgramCache: it holds the largest bundled design several times
-/// over.
-RoutineMemo& routine_memo() {
-  static RoutineMemo memo(4096);
-  return memo;
-}
-
-/// The memo key: whether the routine layer runs, the declared inputs
-/// and outputs, then the routine text. Counts and length prefixes keep
-/// it injective whatever the names contain.
-std::string memo_key(const graph::Task& task, bool pits) {
+/// The cache key: the declared inputs and outputs, then the routine
+/// text. Counts and length prefixes keep it injective whatever the
+/// names contain.
+std::string routine_key(const graph::Task& task) {
   std::string key;
   key.reserve(task.pits.size() + 64);
-  key += pits ? 'p' : '-';
   auto names = [&](const std::vector<std::string>& list) {
     key += std::to_string(list.size());
     key += '/';
@@ -59,19 +32,15 @@ std::string memo_key(const graph::Task& task, bool pits) {
   return key;
 }
 
-/// A memo miss: parses the routine once and derives the interface
-/// facts and the routine layer from that one AST.
-std::shared_ptr<const RoutineFacts> analyse_routine(const graph::Task& task,
-                                                    bool pits) {
-  auto facts = std::make_shared<RoutineFacts>();
-  pits::Program program;
+}  // namespace
+
+RoutineEntry::RoutineEntry(const graph::Task& task)
+    : context_{task.inputs, task.outputs} {
   try {
     program = pits::Program::parse(task.pits);
   } catch (const Error& e) {
-    facts->interface.parses = false;
-    facts->interface.parse_error = e.message();
-    facts->interface.parse_error_pos = e.pos();
-    return facts;  // BAN003 (interface layer); no routine layer runs
+    parse_error = e;
+    return;
   }
   // Program::inputs() drops every constant name, but a declared input
   // shadows the constant it is named after, so its reads count.
@@ -79,20 +48,39 @@ std::shared_ptr<const RoutineFacts> analyse_routine(const graph::Task& task,
     if (!pits::constants().contains(name) ||
         std::find(task.inputs.begin(), task.inputs.end(), name) !=
             task.inputs.end()) {
-      facts->interface.reads.push_back(std::move(name));
+      reads.push_back(std::move(name));
     }
   }
-  facts->interface.writes = program.outputs();
-  if (pits) {
-    RoutineContext ctx;
-    ctx.inputs = task.inputs;
-    ctx.outputs = task.outputs;
-    facts->shape = run_routine_rules(program.body(), ctx, facts->diagnostics);
-  }
-  return facts;
+  writes = program.outputs();
 }
 
-}  // namespace
+const RoutineEntry::Layer& RoutineEntry::layer() const {
+  std::call_once(layer_once_, [&] {
+    Layer layer;
+    layer.shape = run_routine_rules(program.body(), context_,
+                                    layer.diagnostics);
+    layer_ = std::move(layer);
+  });
+  return layer_;
+}
+
+const pits::bc::Chunk* RoutineEntry::chunk() const {
+  std::call_once(chunk_once_, [&] { precompile_optimized(program); });
+  return program.compiled_chunk().get();
+}
+
+RoutineCache& routine_cache() {
+  // The cap is per generation: it holds the largest bundled design (the
+  // 32x32 heat workload, about 1k distinct routines) several times over.
+  static RoutineCache cache(4096);
+  return cache;
+}
+
+std::shared_ptr<const RoutineEntry> routine_entry(const graph::Task& task) {
+  return routine_cache().get(routine_key(task), [&] {
+    return std::make_shared<const RoutineEntry>(task);
+  });
+}
 
 std::vector<Diagnostic> analyze_design(const graph::Design& design,
                                        const AnalyzeOptions& options) {
@@ -101,7 +89,7 @@ std::vector<Diagnostic> analyze_design(const graph::Design& design,
   const bool pits = options.pits_rules;
 
   // Null for tasks whose routine is blank.
-  std::vector<std::shared_ptr<const RoutineFacts>> routines(g.num_tasks());
+  std::vector<std::shared_ptr<const RoutineEntry>> routines(g.num_tasks());
   if (options.interface_rules || pits) {
     std::uint64_t lookups = 0;
     std::uint64_t misses = 0;
@@ -109,9 +97,12 @@ std::vector<Diagnostic> analyze_design(const graph::Design& design,
       const graph::Task& task = g.task(t);
       if (util::trim(task.pits).empty()) continue;
       ++lookups;
-      routines[t] = routine_memo().get(memo_key(task, pits), [&] {
+      routines[t] = routine_cache().get(routine_key(task), [&] {
         ++misses;
-        return analyse_routine(task, pits);
+        auto routine = std::make_shared<const RoutineEntry>(task);
+        // Analysed while its AST is still in cache.
+        if (pits && !routine->parse_error) (void)routine->layer();
+        return routine;
       });
     }
     if (obs::TraceRecorder* rec = obs::current()) {
@@ -122,11 +113,7 @@ std::vector<Diagnostic> analyze_design(const graph::Design& design,
 
   std::vector<Diagnostic> diagnostics;
   if (options.interface_rules) {
-    std::vector<const RoutineInterface*> interfaces(g.num_tasks(), nullptr);
-    for (graph::TaskId t = 0; t < g.num_tasks(); ++t) {
-      if (routines[t] != nullptr) interfaces[t] = &routines[t]->interface;
-    }
-    run_interface_rules(flat, interfaces, options, diagnostics);
+    run_interface_rules(flat, routines, options, diagnostics);
   }
 
   if (pits) {
@@ -134,15 +121,16 @@ std::vector<Diagnostic> analyze_design(const graph::Design& design,
     // put it, so sort_and_dedupe's stable tie-break keeps the same hint.
     std::vector<const ShapeSummary*> shapes(g.num_tasks(), nullptr);
     for (graph::TaskId t = 0; t < g.num_tasks(); ++t) {
-      const RoutineFacts* facts = routines[t].get();
-      if (facts == nullptr || !facts->interface.parses) continue;
+      const RoutineEntry* routine = routines[t].get();
+      if (routine == nullptr || routine->parse_error) continue;
+      const RoutineEntry::Layer& layer = routine->layer();
       const graph::Task& task = g.task(t);
-      for (const Diagnostic& d : facts->diagnostics) {
+      for (const Diagnostic& d : layer.diagnostics) {
         Diagnostic& placed = diagnostics.emplace_back(d);
         placed.subject = task.name;
         placed.pos = graph::routine_to_file(task, d.pos);
       }
-      shapes[t] = &facts->shape;
+      shapes[t] = &layer.shape;
     }
     run_shape_rules(flat, shapes, diagnostics);
   }

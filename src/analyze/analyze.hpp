@@ -33,12 +33,17 @@
 // both would fire at one spot, the constant rule reports.
 #pragma once
 
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "analyze/absint.hpp"
 #include "analyze/diagnostic.hpp"
 #include "graph/design.hpp"
-#include "pits/ast.hpp"
+#include "pits/interp.hpp"
+#include "util/generational_cache.hpp"
 
 namespace banger::analyze {
 
@@ -62,43 +67,70 @@ struct AnalyzeOptions {
 /// (Error{Graph} propagates otherwise). Returns diagnostics sorted and
 /// deduplicated by sort_and_dedupe().
 ///
-/// Per-routine results (interface facts, routine diagnostics, shape
-/// summaries) come from a process-wide memo keyed by routine text,
-/// declared inputs and outputs, and whether the routine layer runs, so
-/// re-checking an edited design re-analyses only the routines the edit
-/// touched (see docs/analysis.md, "Incremental check").
+/// Per-routine results come from routine_entry(), so re-checking an
+/// edited design re-analyses only the routines the edit touched (see
+/// docs/analysis.md, "Incremental check").
 std::vector<Diagnostic> analyze_design(const graph::Design& design,
                                        const AnalyzeOptions& options = {});
 
-/// Context for analysing one PITS routine on its own. The routine
-/// layer reports positions relative to the routine and leaves the
-/// subject empty; analyze_design names the task and maps positions into
-/// the file (graph::routine_to_file) when it places its diagnostics.
-struct RoutineContext {
-  /// Declared inputs: defined before the routine starts.
-  std::vector<std::string> inputs;
-  /// Declared outputs: assignments to them are never dead.
-  std::vector<std::string> outputs;
-};
+/// One task routine as every consumer sees it: `check` reads the
+/// interface facts and the routine layer, `trial`/`run`/`stream` the
+/// program and its chunk. Everything in it depends only on the routine
+/// text and the declared inputs and outputs; positions are
+/// routine-relative and diagnostics carry no subject, so one entry
+/// serves every task, at any file position and under any name, that
+/// matches those.
+class RoutineEntry {
+ public:
+  /// Parses `task.pits` and reads the interface facts off the AST. A
+  /// parse failure is stored, not thrown.
+  explicit RoutineEntry(const graph::Task& task);
 
-/// What the interface layer needs from one task's routine: the
-/// variables it reads and writes, or why it does not parse.
-struct RoutineInterface {
-  bool parses = true;
-  std::string parse_error;   ///< Error::message() of the parse failure
-  SourcePos parse_error_pos; ///< routine-relative
+  /// Set when the routine does not parse; everything below is then
+  /// empty and the lazy layers must not be asked for.
+  std::optional<Error> parse_error;
+  pits::Program program;
   /// Free variables; a constant's name only when it is a declared input.
   std::vector<std::string> reads;
   std::vector<std::string> writes;  ///< pits::Program::outputs()
+
+  /// The routine layer's diagnostics, in emission order, and shape
+  /// summary.
+  struct Layer {
+    std::vector<Diagnostic> diagnostics;
+    ShapeSummary shape;
+  };
+  /// Runs the routine layer on first use only.
+  [[nodiscard]] const Layer& layer() const;
+  /// Compiles with compute_facts() on first use only; null when the
+  /// routine exceeds the compact ISA limits (the walker then runs it).
+  [[nodiscard]] const pits::bc::Chunk* chunk() const;
+
+ private:
+  RoutineContext context_;
+  mutable std::once_flag layer_once_;
+  mutable Layer layer_;
+  mutable std::once_flag chunk_once_;
 };
+
+using RoutineCache =
+    util::GenerationalCache<std::shared_ptr<const RoutineEntry>>;
+
+/// The process-wide cache of routine entries, keyed by the declared
+/// inputs, the declared outputs and the routine text. Every thread that
+/// checks or runs designs shares it (serve works on pool threads).
+RoutineCache& routine_cache();
+
+/// `task`'s entry, built on a miss.
+std::shared_ptr<const RoutineEntry> routine_entry(const graph::Task& task);
 
 /// Interface + determinacy layers. Append to `sink`; `flat` must be
 /// `design.flatten()`. `routines` is indexed by task id and holds null
 /// for tasks whose routine is blank.
-void run_interface_rules(const graph::FlattenResult& flat,
-                         const std::vector<const RoutineInterface*>& routines,
-                         const AnalyzeOptions& options,
-                         std::vector<Diagnostic>& sink);
+void run_interface_rules(
+    const graph::FlattenResult& flat,
+    const std::vector<std::shared_ptr<const RoutineEntry>>& routines,
+    const AnalyzeOptions& options, std::vector<Diagnostic>& sink);
 void run_determinacy_rules(const graph::FlattenResult& flat,
                            std::vector<Diagnostic>& sink);
 

@@ -46,13 +46,13 @@ Diagnostic make(std::string code, std::string subject_kind,
 // Interface layer (BAN001-BAN010) — legacy lint rules, verbatim text.
 // ---------------------------------------------------------------------
 
-void check_task_interfaces(const FlattenResult& flat,
-                           const std::vector<const RoutineInterface*>& routines,
-                           const AnalyzeOptions& options,
-                           std::vector<Diagnostic>& sink) {
+void check_task_interfaces(
+    const FlattenResult& flat,
+    const std::vector<std::shared_ptr<const RoutineEntry>>& routines,
+    const AnalyzeOptions& options, std::vector<Diagnostic>& sink) {
   for (TaskId t = 0; t < flat.graph.num_tasks(); ++t) {
     const graph::Task& task = flat.graph.task(t);
-    const RoutineInterface* routine = routines[t];
+    const RoutineEntry* routine = routines[t].get();
 
     if (routine == nullptr) {
       if (!task.outputs.empty()) {
@@ -68,14 +68,13 @@ void check_task_interfaces(const FlattenResult& flat,
       continue;
     }
 
-    if (!routine->parses) {
+    if (const std::optional<Error>& error = routine->parse_error) {
       SourcePos pos = task.pos;
-      if (task.pits_line > 0 && routine->parse_error_pos.valid()) {
-        pos = graph::routine_to_file(task, routine->parse_error_pos);
+      if (task.pits_line > 0 && error->pos().valid()) {
+        pos = graph::routine_to_file(task, error->pos());
       }
       sink.push_back(make("BAN003", "task", task.name,
-                          "PITS does not parse: " + routine->parse_error,
-                          pos));
+                          "PITS does not parse: " + error->message(), pos));
       continue;
     }
 
@@ -263,10 +262,10 @@ std::vector<std::pair<TaskId, TaskId>> unordered_pairs(
 
 }  // namespace
 
-void run_interface_rules(const FlattenResult& flat,
-                         const std::vector<const RoutineInterface*>& routines,
-                         const AnalyzeOptions& options,
-                         std::vector<Diagnostic>& sink) {
+void run_interface_rules(
+    const FlattenResult& flat,
+    const std::vector<std::shared_ptr<const RoutineEntry>>& routines,
+    const AnalyzeOptions& options, std::vector<Diagnostic>& sink) {
   check_task_interfaces(flat, routines, options, sink);
   check_stores(flat, sink);
   check_graph_shape(flat, sink);

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "analyze/absint.hpp"
 #include "util/error.hpp"
 
 namespace banger::exec {
@@ -30,25 +29,6 @@ std::optional<std::uint32_t> output_index(const graph::Task& task,
 
 }  // namespace
 
-// ---- compiled-routine cache -----------------------------------------
-
-CachedProgram ProgramCache::get(const std::string& source) {
-  return cache_.get(source, [&] {
-    CachedProgram entry;
-    entry.program = pits::Program::parse(source);
-    // The abstract interpreter supplies proofs that let the compiler
-    // elide bounds/binding checks and batch statement ticks.
-    analyze::precompile_optimized(entry.program);
-    entry.chunk = entry.program.compiled_chunk();
-    return entry;
-  });
-}
-
-ProgramCache& program_cache() {
-  static ProgramCache cache;
-  return cache;
-}
-
 // ---- design plans ----------------------------------------------------
 
 DesignPlan build_plan(const FlattenResult& flat, const RunOptions& options,
@@ -70,17 +50,15 @@ DesignPlan build_plan(const FlattenResult& flat, const RunOptions& options,
       // Pure synchronisation node: legal no-op (inputs still bind).
     } else {
       try {
-        CachedProgram cached = program_cache().get(task.pits);
-        tp.program = std::move(cached.program);
-        tp.chunk = std::move(cached.chunk);
-        tp.runnable = true;
+        tp.routine = analyze::routine_entry(task);
+        if (tp.routine->parse_error) throw *tp.routine->parse_error;
+        if (plan.vm_engine) tp.chunk = tp.routine->chunk();
       } catch (const Error& e) {
         fail(e.code(), "in task `" + task.name + "`: " + e.message(),
              graph::routine_to_file(task, e.pos()));
       }
     }
-    const pits::bc::Chunk* chunk =
-        plan.vm_engine ? tp.chunk.get() : nullptr;
+    const pits::bc::Chunk* chunk = tp.chunk;
     auto slot_of = [&](const std::string& var) -> std::int32_t {
       if (chunk == nullptr) return -1;
       for (std::size_t s = 0; s < chunk->vars.size(); ++s) {

@@ -1,12 +1,15 @@
 // banger/exec/plan.hpp
 //
 // Internal machinery shared by the batch executor (executor.cpp) and the
-// streaming executor (stream.cpp): the process-wide compiled-routine
-// cache and the per-design execution plan — which predecessor (and which
-// of its outputs) feeds each task input, which chunk slot each variable
-// lives in, which writer supplies each store — resolved once so the
-// per-task hot path binds VM registers directly instead of building a
-// std::map environment per task.
+// streaming executor (stream.cpp): the per-design execution plan — each
+// task's routine entry, which predecessor (and which of its outputs)
+// feeds each task input, which chunk slot each variable lives in, which
+// writer supplies each store — resolved once so the per-task hot path
+// binds VM registers directly instead of building a std::map
+// environment per task. Routines come from the one process-wide routine
+// cache that `check` also reads (analyze::routine_entry), so a routine
+// is parsed once and compiled at most once however often it is checked
+// and run.
 //
 // Not part of the public exec API (include exec/executor.hpp or
 // exec/stream.hpp instead), but a real header so the two execution modes
@@ -22,10 +25,10 @@
 #include <string>
 #include <vector>
 
+#include "analyze/analyze.hpp"
 #include "exec/executor.hpp"
 #include "pits/bytecode.hpp"
 #include "sched/schedule.hpp"
-#include "util/generational_cache.hpp"
 #include "util/strings.hpp"
 
 namespace banger::exec {
@@ -42,41 +45,11 @@ inline std::uint64_t seed_for(const std::string& task_name,
   return util::fnv1a64(task_name, 1469598103934665603ull ^ base);
 }
 
-// ---- compiled-routine cache -----------------------------------------
-//
-// Parsing, abstract interpretation, and bytecode compilation used to
-// happen once per run; on the trial hot path they dwarfed execution
-// itself. The cache is process-wide and keyed by routine source text,
-// so repeated runs of a design (or many designs sharing routines) pay
-// for the front end exactly once. Parse/compile failures are not
-// cached: they re-raise per run, exactly as before.
-
-struct CachedProgram {
-  pits::Program program;
-  std::shared_ptr<const pits::bc::Chunk> chunk;  ///< null -> walker only
-};
-
-/// Source text -> compiled routine, on the segmented LRU of
-/// util/generational_cache.hpp: routines touched once per generation
-/// stay compiled under cap pressure.
-class ProgramCache {
- public:
-  /// `cap` is per generation; worst-case residency is 2*cap entries.
-  /// The default comfortably holds the largest bundled design (the
-  /// 32x32 heat workload carries ~1k distinct routines).
-  explicit ProgramCache(std::size_t cap = 4096) : cache_(cap) {}
-
-  CachedProgram get(const std::string& source);
-
-  using Stats = util::GenerationalCache<CachedProgram>::Stats;
-  [[nodiscard]] Stats stats() const { return cache_.stats(); }
-
- private:
-  util::GenerationalCache<CachedProgram> cache_;
-};
-
-/// The process-wide instance every execution mode shares.
-ProgramCache& program_cache();
+/// The one routine cache (analyze::routine_cache()), under the name the
+/// benchmark harness reads its stats by.
+inline analyze::RoutineCache& program_cache() {
+  return analyze::routine_cache();
+}
 
 // ---- design plans ----------------------------------------------------
 
@@ -107,9 +80,10 @@ struct OutputPlan {
 };
 
 struct TaskPlan {
-  pits::Program program;
-  std::shared_ptr<const pits::bc::Chunk> chunk;
-  bool runnable = false;
+  /// Null for a task without a routine (a synchronisation node).
+  std::shared_ptr<const analyze::RoutineEntry> routine;
+  /// The routine's chunk when the VM runs it; owned by `routine`.
+  const pits::bc::Chunk* chunk = nullptr;
   /// False when a variable repeats in Task::outputs: collection then
   /// copies values instead of moving them out of the frame.
   bool unique_outputs = true;
@@ -220,7 +194,7 @@ TaskOutputs execute_task_with(const FlattenResult& flat,
   const graph::Task& task = flat.graph.task(t);
   const TaskPlan& tp = plan.tasks[t];
   TaskOutputs outputs;
-  if (!tp.runnable) return outputs;
+  if (tp.routine == nullptr) return outputs;
 
   const bool capture = transcript != nullptr && options.capture_transcript;
   scratch.transcript.text.clear();
@@ -231,7 +205,7 @@ TaskOutputs execute_task_with(const FlattenResult& flat,
     if (slots) {
       pits::bc::run_frame(*tp.chunk, scratch.frame, exec_opts);
     } else {
-      tp.program.execute(env, exec_opts);
+      tp.routine->program.execute(env, exec_opts);
     }
   } catch (const Error& e) {
     fail(e.code(), "in task `" + task.name + "`: " + e.message(),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -22,6 +23,12 @@ double parse_num(std::string_view s, int line) {
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
   if (ec != std::errc{} || ptr != s.data() + s.size()) {
     fail(ErrorCode::Parse, "bad number `" + std::string(s) + "`", {line, 1});
+  }
+  // from_chars accepts "nan" and "inf"; no fault parameter means
+  // anything with them, and `inf` slips past the `>= 0` range checks.
+  if (!std::isfinite(value)) {
+    fail(ErrorCode::Parse, "number `" + std::string(s) + "` is not finite",
+         {line, 1});
   }
   return value;
 }

@@ -1,6 +1,7 @@
 #include "graph/serialize.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
@@ -36,6 +37,13 @@ struct KeyValues {
     auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
     if (ec != std::errc{} || ptr != s.data() + s.size()) {
       fail(ErrorCode::Parse, "bad numeric value `" + s + "` for " + key,
+           {line, 1});
+    }
+    // from_chars accepts "nan" and "inf"; neither is a work estimate or
+    // a message size the schedulers can place.
+    if (!std::isfinite(value)) {
+      fail(ErrorCode::Parse,
+           "numeric value `" + s + "` for " + key + " is not finite",
            {line, 1});
     }
     return value;

@@ -15,8 +15,8 @@
 // redundant work, never wrong work. Values are returned by copy; cache
 // cheap handles (shared_ptr, pits::Program) rather than big objects.
 //
-// Users: the compiled-routine cache (exec::ProgramCache) and the
-// per-routine analysis memo behind analyze::analyze_design.
+// User: the routine cache (analyze::routine_cache) that `check`, `trial`,
+// `run` and `stream` share.
 #pragma once
 
 #include <cstdint>

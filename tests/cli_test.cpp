@@ -611,5 +611,55 @@ TEST_F(CliFiles, NonFiniteMachineNumberIsAMachineError) {
   EXPECT_EQ(invoke({"schedule", design_path_, free_links}).code, 0);
 }
 
+TEST(CliHostile, NonFiniteDesignNumberIsAPositionedParseError) {
+  // `work=nan` passed `validate` and then tripped the list scheduler's
+  // `best.proc >= 0` assertion (exit 134); `bytes=inf` on an arc or a
+  // store is refused the same way.
+  const std::string machine = testing::TempDir() + "/cli_star.machine";
+  std::ofstream(machine) << "machine star\ntopology star procs=3\nspeed 1\n"
+                            "message_startup 0.05\nbandwidth 512\n";
+  const struct {
+    const char* text;
+    const char* where;
+  } cases[] = {
+      {"design d\ngraph d\n  task t work=nan\n", "3:1"},
+      {"design d\ngraph d\n  task t work=-inf\n", "3:1"},
+      {"design d\ngraph d\n  store s bytes=inf\n  task t in=s\n", "3:1"},
+      {"design d\ngraph d\n  task a out=x\n  task b in=x\n"
+       "  arc a -> b var=x bytes=inf\n",
+       "5:1"},
+  };
+  for (const auto& c : cases) {
+    const std::string design = testing::TempDir() + "/cli_nonfinite.pitl";
+    std::ofstream(design) << c.text;
+    for (const char* command : {"validate", "schedule"}) {
+      std::vector<std::string> args{command, design};
+      if (std::string(command) == "schedule") args.push_back(machine);
+      const auto r = invoke(args);
+      EXPECT_EQ(r.code, 1) << command << ": " << c.text;
+      EXPECT_NE(r.err.find(std::string("parse error at ") + c.where),
+                std::string::npos)
+          << r.err;
+      EXPECT_NE(r.err.find("is not finite"), std::string::npos) << r.err;
+    }
+  }
+}
+
+TEST_F(CliFiles, NonFiniteFaultNumberIsAPositionedParseError) {
+  // `jitter=inf` passed the `>= 0` range check and tripped the repair
+  // scheduler's `best.proc >= 0` assertion (exit 134).
+  for (const char* line : {"msgdelay jitter=inf", "crash proc=1 at=nan",
+                           "slow proc=0 from=0 to=inf factor=2"}) {
+    const std::string plan = testing::TempDir() + "/cli_nonfinite.fault";
+    std::ofstream(plan) << "faultplan p seed=1\n" << line << "\n";
+    const auto r = invoke(
+        {"faults", design_path_, machine_path_, "--fault-plan", plan});
+    EXPECT_EQ(r.code, 1) << line;
+    EXPECT_NE(r.err.find("parse error at 2:1"), std::string::npos)
+        << line << ": " << r.err;
+    EXPECT_NE(r.err.find("is not finite"), std::string::npos) << r.err;
+  }
+}
+
 }  // namespace
 }  // namespace banger::cli

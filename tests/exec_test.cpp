@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <thread>
+#include <tuple>
 
 #include "exec/executor.hpp"
 #include "exec/plan.hpp"
+#include "obs/trace.hpp"
 #include "sched/heuristics.hpp"
 #include "workloads/designs.hpp"
 #include "workloads/graphs.hpp"
@@ -354,38 +358,59 @@ TEST(Parallel, StressRepeatedRunsStayDeterministic) {
   }
 }
 
-TEST(ProgramCache, HotEntrySurvivesCapPressure) {
-  // Regression: the old policy cleared the ENTIRE cache at the cap, so
-  // a long-lived serve/stream process recompiled its whole working set
-  // the moment one design too many passed through. The segmented LRU
-  // must keep an entry that stays in use across generation flips.
-  ProgramCache cache(/*cap=*/4);
-  const std::string hot = "x := 1\n";
-  (void)cache.get(hot);  // compile once
-  EXPECT_EQ(cache.stats().misses, 1u);
-  // Flood with cold sources, re-touching the hot entry each round so it
-  // keeps getting promoted back into the hot generation.
-  for (int i = 0; i < 40; ++i) {
-    (void)cache.get("x := " + std::to_string(i + 2) + "\n");
-    (void)cache.get(hot);
+TEST(RoutineCache, CheckThenRunBuildsEachRoutineOnce) {
+  // `check` and `run` share one entry per routine: checking the heat rod
+  // builds every entry, and the run after it finds them all. No other
+  // test uses this cell count or alpha, so every routine text is new to
+  // this process.
+  const graph::Design design = workloads::heat_design(16, 16, 5, 0.1234);
+  const auto flat = design.flatten();
+  std::set<std::tuple<std::vector<std::string>, std::vector<std::string>,
+                      std::string>>
+      distinct;
+  for (graph::TaskId t = 0; t < flat.graph.num_tasks(); ++t) {
+    const graph::Task& task = flat.graph.task(t);
+    distinct.emplace(task.inputs, task.outputs, task.pits);
   }
-  const ProgramCache::Stats s = cache.stats();
-  EXPECT_GT(s.evictions, 0u);            // cap pressure really happened
-  EXPECT_EQ(s.misses, 41u);              // hot was never recompiled
-  (void)cache.get(hot);
-  EXPECT_EQ(cache.stats().misses, 41u);  // still cached after the flood
+  ASSERT_EQ(distinct.size(), 16u * 17u + 1u);
+
+  obs::TraceRecorder rec;
+  obs::ScopedRecorder scope(rec);
+  const std::uint64_t before = program_cache().stats().misses;
+  (void)analyze::analyze_design(design);
+  EXPECT_EQ(program_cache().stats().misses - before, distinct.size());
+  EXPECT_EQ(rec.metric("pits.compile.count"), 0.0) << "a check never compiles";
+
+  const auto result =
+      run_sequential(flat, {{"rod", pits::Value(pits::Vector(80, 1.0))}});
+  EXPECT_EQ(result.outputs.at("result").as_vector().size(), 80u);
+  EXPECT_EQ(program_cache().stats().misses - before, distinct.size());
+  const auto routines = static_cast<double>(distinct.size());
+  EXPECT_EQ(rec.metric("pits.parse"), routines);
+  EXPECT_EQ(rec.metric("pits.compile.count"), routines);
 }
 
-TEST(ProgramCache, ColdEntryIsEvictedUnderPressure) {
-  ProgramCache cache(/*cap=*/2);
-  const std::string once = "y := 7\n";
-  (void)cache.get(once);
-  for (int i = 0; i < 10; ++i) {
-    (void)cache.get("y := " + std::to_string(i + 100) + "\n");
+TEST(RoutineCache, ConcurrentChecksAndRunsShareEntries) {
+  // Threads that check and run one new design at once race for the same
+  // entries and their lazy layers; every one must see the same results.
+  const graph::Design design = workloads::heat_design(4, 3, 5, 0.2345);
+  const auto flat = design.flatten();
+  const ExternalInputs rod{{"rod", pits::Value(pits::Vector(20, 2.0))}};
+  std::vector<std::vector<analyze::Diagnostic>> checks(8);
+  std::vector<RunResult> runs(8);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < checks.size(); ++i) {
+    threads.emplace_back([&, i] {
+      if (i % 2 == 0) checks[i] = analyze::analyze_design(design);
+      runs[i] = run_sequential(flat, rod);
+      if (i % 2 == 1) checks[i] = analyze::analyze_design(design);
+    });
   }
-  const std::uint64_t before = cache.stats().misses;
-  (void)cache.get(once);  // two generations later: gone, recompiles
-  EXPECT_EQ(cache.stats().misses, before + 1);
+  for (std::thread& th : threads) th.join();
+  for (std::size_t i = 1; i < checks.size(); ++i) {
+    EXPECT_EQ(analyze::emit_text(checks[i]), analyze::emit_text(checks[0]));
+    EXPECT_EQ(runs[i].outputs.at("result"), runs[0].outputs.at("result"));
+  }
 }
 
 TEST(TakePlan, SoleUseMoveReenabledWithoutDuplicates) {

@@ -513,6 +513,28 @@ TEST(ServeServer, HostileNestingGetsAnEnvelopeAndTheServerAnswersOn) {
   EXPECT_EQ(field(pong, "output").as_string(), "pong");
 }
 
+TEST(ServeServer, NonFiniteWorkGetsAnEnvelopeAndTheServerAnswersOn) {
+  // A NaN work estimate used to reach the list scheduler and trip its
+  // `best.proc >= 0` assertion, taking the whole daemon down.
+  Server server;
+  const Json resp = Json::parse(server.handle_line(
+      request({{"id", Json::number(1)},
+               {"op", Json::string("schedule")},
+               {"design", Json::string("design d\ngraph d\n  task t work=nan\n")},
+               {"machine", Json::string(kMachineText)}})));
+  EXPECT_FALSE(field(resp, "ok").as_bool());
+  const Json& error = field(resp, "error");
+  EXPECT_EQ(field(error, "code").as_string(), "parse");
+  EXPECT_EQ(field(error, "message").as_string(),
+            "numeric value `nan` for work is not finite");
+  EXPECT_EQ(field(error, "line").as_number(), 3.0);
+
+  const Json pong = Json::parse(server.handle_line(
+      request({{"id", Json::number(2)}, {"op", Json::string("ping")}})));
+  EXPECT_TRUE(field(pong, "ok").as_bool()) << pong.dump();
+  EXPECT_EQ(field(pong, "output").as_string(), "pong");
+}
+
 TEST(ServeServer, StreamParsesOnceAndKeepsMalformedLinesDiagnosed) {
   ServeOptions opts;
   opts.jobs = 2;

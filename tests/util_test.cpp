@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "util/error.hpp"
+#include "util/generational_cache.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -254,6 +255,46 @@ TEST(Parallel, ItemsBelowThrowingIndexAllRun) {
   for (std::size_t i = 0; i < 399; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
+}
+
+TEST(GenerationalCache, HotEntrySurvivesCapPressure) {
+  // Regression: the old policy cleared the ENTIRE cache at the cap, so
+  // a long-lived serve/stream process rebuilt its whole working set the
+  // moment one design too many passed through. The segmented LRU must
+  // keep an entry that stays in use across generation flips.
+  GenerationalCache<int> cache(/*cap=*/4);
+  auto get = [&](const std::string& key) {
+    return cache.get(key, [&] { return static_cast<int>(key.size()); });
+  };
+  const std::string hot = "x := 1\n";
+  (void)get(hot);  // build once
+  EXPECT_EQ(cache.stats().misses, 1u);
+  // Flood with cold keys, re-touching the hot entry each round so it
+  // keeps getting promoted back into the hot generation.
+  for (int i = 0; i < 40; ++i) {
+    (void)get("x := " + std::to_string(i + 2) + "\n");
+    (void)get(hot);
+  }
+  const GenerationalCache<int>::Stats s = cache.stats();
+  EXPECT_GT(s.evictions, 0u);            // cap pressure really happened
+  EXPECT_EQ(s.misses, 41u);              // hot was never rebuilt
+  (void)get(hot);
+  EXPECT_EQ(cache.stats().misses, 41u);  // still cached after the flood
+}
+
+TEST(GenerationalCache, ColdEntryIsEvictedUnderPressure) {
+  GenerationalCache<int> cache(/*cap=*/2);
+  auto get = [&](const std::string& key) {
+    return cache.get(key, [&] { return static_cast<int>(key.size()); });
+  };
+  const std::string once = "y := 7\n";
+  (void)get(once);
+  for (int i = 0; i < 10; ++i) {
+    (void)get("y := " + std::to_string(i + 100) + "\n");
+  }
+  const std::uint64_t before = cache.stats().misses;
+  (void)get(once);  // two generations later: gone, rebuilt
+  EXPECT_EQ(cache.stats().misses, before + 1);
 }
 
 }  // namespace

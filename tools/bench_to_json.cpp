@@ -18,6 +18,12 @@
 // benchmark (the named VM / executor / serve paths below) is more than
 // 25% slower per op than the normalised baseline. A uniform slowdown
 // (slower CI box) passes; a hot path regressing against its peers fails.
+//
+// Both modes accept `--benchmark_repetitions=N` output: each benchmark
+// keeps its median sample by cpu time, and google-benchmark's aggregate
+// rows (`_mean`, `_median`, `_stddev`, `_cv`) are dropped. One sample of
+// a batch benchmark on a loaded host can be off by more than the bound;
+// the median of five is steadier (docs/performance.md has the counts).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -25,6 +31,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -100,10 +107,38 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// name -> cpu_ns_per_op parsed from a google-benchmark CSV stream.
-/// Reports its own error (missing header, malformed number) to stderr
-/// and returns false.
-bool parse_csv(std::istream& in, std::map<std::string, double>& out) {
+/// One benchmark row of a google-benchmark CSV stream, times in ns/op.
+struct Sample {
+  std::string iterations;
+  double real_ns = 0;
+  double cpu_ns = 0;
+  std::string items_per_sec;  ///< empty when the benchmark sets none
+};
+
+using Samples = std::vector<std::pair<std::string, Sample>>;
+
+/// Whether `name` is an aggregate row google-benchmark appends after the
+/// repetitions of a benchmark already in `seen`.
+bool is_aggregate(const std::string& name,
+                  const std::map<std::string, std::vector<Sample>>& seen) {
+  for (const std::string suffix : {"_mean", "_median", "_stddev", "_cv"}) {
+    if (name.size() > suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0 &&
+        seen.contains(name.substr(0, name.size() - suffix.size()))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// One sample per benchmark parsed from a google-benchmark CSV stream,
+/// in first-seen order: the median by cpu time when the benchmark
+/// repeats. Reports its own error (missing header, malformed number) to
+/// stderr and returns false.
+bool parse_csv(std::istream& in, Samples& out) {
+  // Find the header row (google-benchmark prints context lines first
+  // when stderr is merged; the header always starts with "name,").
   std::string line;
   std::vector<std::string> header;
   while (std::getline(in, line)) {
@@ -123,22 +158,46 @@ bool parse_csv(std::istream& in, std::map<std::string, double>& out) {
     return header.size();
   };
   const std::size_t col_name = column("name");
+  const std::size_t col_iters = column("iterations");
+  const std::size_t col_real = column("real_time");
   const std::size_t col_cpu = column("cpu_time");
   const std::size_t col_unit = column("time_unit");
+  const std::size_t col_items = column("items_per_second");
+  std::vector<std::string> order;
+  std::map<std::string, std::vector<Sample>> runs;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     const auto fields = split_csv(line);
     if (fields.size() <= col_cpu || fields[col_name].empty()) continue;
+    const std::string& name = fields[col_name];
+    if (is_aggregate(name, runs)) continue;
     const std::string& unit =
         col_unit < fields.size() ? fields[col_unit] : "ns";
-    double cpu = 0;
-    if (!parse_num(fields[col_cpu], cpu)) {
-      std::fprintf(stderr,
-                   "bench_to_json: malformed cpu_time in CSV line: %s\n",
+    Sample sample;
+    if ((col_real < fields.size() &&
+         !parse_num(fields[col_real], sample.real_ns)) ||
+        !parse_num(fields[col_cpu], sample.cpu_ns)) {
+      std::fprintf(stderr, "bench_to_json: malformed timing in CSV line: %s\n",
                    line.c_str());
       return false;
     }
-    out[fields[col_name]] = to_ns(cpu, unit);
+    sample.real_ns = to_ns(sample.real_ns, unit);
+    sample.cpu_ns = to_ns(sample.cpu_ns, unit);
+    if (col_iters < fields.size()) sample.iterations = fields[col_iters];
+    if (col_items < fields.size()) sample.items_per_sec = fields[col_items];
+    auto [it, fresh] = runs.try_emplace(name);
+    if (fresh) order.push_back(name);
+    it->second.push_back(std::move(sample));
+  }
+  for (const std::string& name : order) {
+    std::vector<Sample>& samples = runs[name];
+    const auto mid = samples.begin() +
+                     static_cast<std::ptrdiff_t>((samples.size() - 1) / 2);
+    std::nth_element(samples.begin(), mid, samples.end(),
+                     [](const Sample& a, const Sample& b) {
+                       return a.cpu_ns < b.cpu_ns;
+                     });
+    out.emplace_back(name, std::move(*mid));
   }
   return true;
 }
@@ -193,8 +252,10 @@ bool parse_baseline(const std::string& path,
 int run_check(const std::string& baseline_path, std::istream& in) {
   std::map<std::string, double> baseline;
   if (!parse_baseline(baseline_path, baseline)) return 1;
+  Samples samples;
+  if (!parse_csv(in, samples)) return 1;
   std::map<std::string, double> fresh;
-  if (!parse_csv(in, fresh)) return 1;
+  for (const auto& [name, sample] : samples) fresh[name] = sample.cpu_ns;
 
   // Machine-speed factor: median new/old ratio over the shared set.
   std::vector<double> ratios;
@@ -275,58 +336,20 @@ int main(int argc, char** argv) {
     in = &file;
   }
 
-  // Find the header row (google-benchmark prints context lines first
-  // when stderr is merged; the header always starts with "name,").
-  std::string line;
-  std::vector<std::string> header;
-  while (std::getline(*in, line)) {
-    if (line.rfind("name,", 0) == 0) {
-      header = split_csv(line);
-      break;
-    }
-  }
-  if (header.empty()) {
-    std::fprintf(stderr, "bench_to_json: no CSV header found\n");
-    return 1;
-  }
-  auto column = [&](const std::string& name) -> std::size_t {
-    for (std::size_t i = 0; i < header.size(); ++i) {
-      if (header[i] == name) return i;
-    }
-    return header.size();
-  };
-  const std::size_t col_name = column("name");
-  const std::size_t col_iters = column("iterations");
-  const std::size_t col_real = column("real_time");
-  const std::size_t col_cpu = column("cpu_time");
-  const std::size_t col_unit = column("time_unit");
-  const std::size_t col_items = column("items_per_second");
-
+  Samples samples;
+  if (!parse_csv(*in, samples)) return 1;
   std::ostringstream out;
   out << "{\n  \"benchmarks\": [\n";
   bool first = true;
-  while (std::getline(*in, line)) {
-    if (line.empty()) continue;
-    const auto fields = split_csv(line);
-    if (fields.size() <= col_cpu || fields[col_name].empty()) continue;
-    const std::string& unit =
-        col_unit < fields.size() ? fields[col_unit] : "ns";
-    double real = 0;
-    double cpu = 0;
-    if (!parse_num(fields[col_real], real) ||
-        !parse_num(fields[col_cpu], cpu)) {
-      std::fprintf(stderr, "bench_to_json: malformed timing in CSV line: %s\n",
-                   line.c_str());
-      return 1;
-    }
+  for (const auto& [name, sample] : samples) {
     if (!first) out << ",\n";
     first = false;
-    out << "    {\"name\": \"" << json_escape(fields[col_name]) << "\""
-        << ", \"iterations\": " << fields[col_iters]
-        << ", \"real_ns_per_op\": " << to_ns(real, unit)
-        << ", \"cpu_ns_per_op\": " << to_ns(cpu, unit);
-    if (col_items < fields.size() && !fields[col_items].empty()) {
-      out << ", \"items_per_sec\": " << fields[col_items];
+    out << "    {\"name\": \"" << json_escape(name) << "\""
+        << ", \"iterations\": " << sample.iterations
+        << ", \"real_ns_per_op\": " << sample.real_ns
+        << ", \"cpu_ns_per_op\": " << sample.cpu_ns;
+    if (!sample.items_per_sec.empty()) {
+      out << ", \"items_per_sec\": " << sample.items_per_sec;
     }
     out << "}";
   }
